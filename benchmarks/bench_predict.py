@@ -37,7 +37,8 @@ section no longer meets the acceptance bar (>= 2x at <= 1 cell).
 
 from __future__ import annotations
 
-import argparse
+import functools
+import hashlib
 import json
 import math
 import pathlib
@@ -266,13 +267,14 @@ def format_suppression(s: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def verify_off_identity() -> Dict[str, Any]:
     """The dead-reckoning contract: prediction=off serving streams
     byte-identical to the committed goldens (same fixture the
     ``test_prediction_off_golden`` suite pins; the bench re-checks the
-    serving scenarios so a gate run never times a divergent build)."""
-    import hashlib
-
+    serving scenarios so a gate run never times a divergent build).
+    Runs once per process."""
+    print("verifying prediction=off byte identity ...")
     golden = json.loads(GOLDEN.read_text())
     checked = 0
     for scenario, epochs in sorted(golden["serving"].items()):
@@ -283,12 +285,15 @@ def verify_off_identity() -> Dict[str, Any]:
             out = compute.epoch(want["epoch"])
             digest = hashlib.sha256(out["delta"]).hexdigest()
             if digest != want["delta_sha256"] or out["crc"] != want["crc"]:
+                print(f"  FAILED at {scenario} epoch {want['epoch']}")
                 return {
                     "ok": False,
                     "stream": scenario,
                     "epoch": want["epoch"],
                 }
             checked += 1
+    print(f"  ok: {len(golden['serving'])} golden streams, "
+          f"{checked} epochs byte-identical")
     return {
         "ok": True,
         "streams": len(golden["serving"]),
@@ -296,36 +301,34 @@ def verify_off_identity() -> Dict[str, Any]:
     }
 
 
+def measure(quick: bool) -> Dict[str, Any]:
+    """The kernel and suppression sections at one size, plus the
+    verify result (which only the full report stores)."""
+    verify = verify_off_identity()
+    n, epochs, warm = (
+        (QUICK_NODES, QUICK_EPOCHS, QUICK_WARM) if quick
+        else (FULL_NODES, FULL_EPOCHS, FULL_WARM)
+    )
+    print(f"\nmeasuring {'quick' if quick else 'full'} sizes (n={n}) ...")
+    kernels = measure_kernels(quick)
+    suppression = measure_suppression(n, epochs, warm)
+    print(record.format_kernels(kernels))
+    print(format_suppression(suppression))
+    return {"n": n, "kernels": kernels, "suppression": suppression, "verify": verify}
+
+
 # ----------------------------------------------------------------------
 # Check mode
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict],
-    kernels: Dict[str, Dict],
-    suppression: Dict[str, Any],
-    verify: Dict[str, Any],
-    quick: bool,
+def check(
+    section: Dict[str, Any], measured: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
     """Regression messages (empty = pass)."""
-    if committed is None:
-        return ["no committed report to check against"]
-    problems: List[str] = []
+    problems = record.check_speedups(section, measured)
 
-    section = committed.get("quick", {}) if quick else committed
-    baseline_k = section.get("kernels", {})
-    for name, entry in kernels.items():
-        if name not in baseline_k:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline_k[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline_k[name]['speedup']:.2f}x)"
-            )
-
+    suppression, verify = measured["suppression"], measured["verify"]
     baseline_s = section.get("suppression")
     if baseline_s is None:
         problems.append("suppression: missing from committed report")
@@ -361,78 +364,23 @@ def check_against(
     return problems
 
 
+def assemble(full: Dict[str, Any], quick: Dict[str, Any]) -> Dict[str, Any]:
+    return record.report(
+        full["n"],
+        full["kernels"],
+        suppression=full["suppression"],
+        verify=full["verify"],
+        quick={k: quick[k] for k in ("n", "kernels", "suppression")},
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on "
-                    "kernel/reduction regression, a staleness-bound or "
-                    "byte-identity violation")
-    args = ap.parse_args(argv)
-
-    print("verifying prediction=off byte identity ...")
-    verify = verify_off_identity()
-    if verify["ok"]:
-        print(
-            f"  ok: {verify['streams']} golden streams, "
-            f"{verify['epochs']} epochs byte-identical"
-        )
-    else:
-        print(f"  FAILED at {verify['stream']} epoch {verify['epoch']}")
-
-    if args.quick:
-        print(f"measuring quick sizes (n={QUICK_NODES}) ...")
-        kernels = measure_kernels(quick=True)
-        suppression = measure_suppression(
-            QUICK_NODES, QUICK_EPOCHS, QUICK_WARM
-        )
-        print(record.format_kernels(kernels))
-        print(format_suppression(suppression))
-        rep = None
-    else:
-        print(f"measuring full sizes (n={FULL_NODES}) ...")
-        kernels = measure_kernels(quick=False)
-        suppression = measure_suppression(FULL_NODES, FULL_EPOCHS, FULL_WARM)
-        print(record.format_kernels(kernels))
-        print(format_suppression(suppression))
-        print(f"\nmeasuring quick sizes (n={QUICK_NODES}) ...")
-        quick_kernels = measure_kernels(quick=True)
-        quick_suppression = measure_suppression(
-            QUICK_NODES, QUICK_EPOCHS, QUICK_WARM
-        )
-        print(record.format_kernels(quick_kernels))
-        print(format_suppression(quick_suppression))
-        rep = record.report(
-            FULL_NODES,
-            kernels,
-            suppression=suppression,
-            verify=verify,
-            quick={
-                "n": QUICK_NODES,
-                "kernels": quick_kernels,
-                "suppression": quick_suppression,
-            },
-        )
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)),
-            kernels, suppression, verify, args.quick,
-        )
-        if problems:
-            print("\nregression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno regression vs {args.check}")
-    elif rep is not None:
-        if not verify["ok"]:
-            print("\nrefusing to write a report with a failed verify")
-            return 1
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    return record.run_gate(
+        argv, __doc__,
+        "on kernel/reduction regression, a staleness-bound or "
+        "byte-identity violation",
+        BENCH_JSON, measure, assemble, check,
+    )
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import pathlib
@@ -90,13 +90,17 @@ def _epoch_evidence(n: int, tile_size: Optional[float]):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def verify_tiling(n: int = 2500) -> None:
-    """Assert tiled epochs are bit-identical to untiled for two layouts."""
+    """Assert tiled epochs are bit-identical to untiled for two layouts
+    (once per process)."""
+    print(f"verifying tiled == untiled at n={n} (two layouts) ...")
     base = _epoch_evidence(n, None)
     for tile_size in (10.0, 18.0):
         assert _epoch_evidence(n, tile_size) == base, (
             f"tile_size={tile_size} diverged from the untiled epoch at n={n}"
         )
+    print("  bit-identical")
 
 
 # ----------------------------------------------------------------------
@@ -178,13 +182,41 @@ def fitted_exponent(points: List[Dict[str, Any]]) -> float:
     )
 
 
+def measure(quick: bool) -> Dict[str, Any]:
+    """The points and fitted exponent at one set of sizes."""
+    verify_tiling()
+    ns = QUICK_NS if quick else FULL_NS
+    print(f"measuring {'quick' if quick else 'full'} sizes {ns} ...")
+    points = measure_points(ns)
+    exponent = fitted_exponent(points)
+    print(f"fitted Iso-Map report exponent: n^{exponent}")
+    section = {"fitted_report_exponent": exponent, "points": points}
+    return {"rss_ceiling_mb": QUICK_RSS_CEILING_MB, **section} if quick else section
+
+
+def assemble(full: Dict[str, Any], quick: Dict[str, Any]) -> Dict[str, Any]:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "config": {
+            "seed": SEED,
+            "fault_intensity": FAULT_INTENSITY,
+            "tile_rule": "auto: max(1.5, side / 8)",
+            "tinydb_max_n": TINYDB_MAX_N,
+            "memory": "peak_rss_mb per point in a fresh spawned process",
+        },
+        **full,
+        "quick": quick,
+    }
+
+
 # ----------------------------------------------------------------------
 # Regression gate
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict], measured: List[Dict[str, Any]], quick: bool
+def check(
+    section: Dict[str, Any], measured: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
     """Regression messages (empty = pass).
 
@@ -193,13 +225,10 @@ def check_against(
     to stay under the committed ceiling (timings are machine-dependent
     and not gated).
     """
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
     baseline = {p["n"]: p for p in section.get("points", [])}
     ceiling = section.get("rss_ceiling_mb", QUICK_RSS_CEILING_MB)
     problems = []
-    for p in measured:
+    for p in measured["points"]:
         ref = baseline.get(p["n"])
         if ref is None:
             problems.append(f"n={p['n']}: missing from committed report")
@@ -218,65 +247,11 @@ def check_against(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on any "
-                    "determinism mismatch or peak-RSS ceiling breach")
-    args = ap.parse_args(argv)
-
-    print("verifying tiled == untiled at n=2500 (two layouts) ...")
-    verify_tiling()
-    print("  bit-identical")
-
-    quick_points = None
-    rep = None
-    if args.quick:
-        print(f"measuring quick sizes {QUICK_NS} ...")
-        quick_points = measure_points(QUICK_NS)
-        measured = quick_points
-    else:
-        print(f"measuring full sizes {FULL_NS} ...")
-        full_points = measure_points(FULL_NS)
-        print(f"measuring quick sizes {QUICK_NS} ...")
-        quick_points = measure_points(QUICK_NS)
-        exponent = fitted_exponent(full_points)
-        print(f"fitted Iso-Map report exponent: n^{exponent}")
-        rep = {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "config": {
-                "seed": SEED,
-                "fault_intensity": FAULT_INTENSITY,
-                "tile_rule": "auto: max(1.5, side / 8)",
-                "tinydb_max_n": TINYDB_MAX_N,
-                "memory": "peak_rss_mb per point in a fresh spawned process",
-            },
-            "fitted_report_exponent": exponent,
-            "points": full_points,
-            "quick": {
-                "rss_ceiling_mb": QUICK_RSS_CEILING_MB,
-                "fitted_report_exponent": fitted_exponent(quick_points),
-                "points": quick_points,
-            },
-        }
-        measured = full_points
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nregression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    return record.run_gate(
+        argv, __doc__,
+        "on any determinism mismatch or peak-RSS ceiling breach",
+        BENCH_JSON, measure, assemble, check,
+    )
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ too machine-dependent for CI.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import functools
 import pathlib
 import sys
 from typing import Any, Dict, List, Optional
@@ -60,8 +60,11 @@ def _config(n_nodes: int) -> SessionConfig:
     return SessionConfig(query_id="bench", n_nodes=n_nodes, scenario="tide")
 
 
+@functools.lru_cache(maxsize=None)
 def verify(n_nodes: int, epochs: int) -> None:
-    """Untimed correctness pass: replayed deltas render served bytes."""
+    """Untimed correctness pass (once per process): replayed deltas
+    render served bytes."""
+    print("verifying replay/snapshot byte-identity ...")
 
     async def main():
         async with MapService([_config(n_nodes)]) as service:
@@ -77,8 +80,14 @@ def verify(n_nodes: int, epochs: int) -> None:
     asyncio.run(main())
 
 
-def measure(sizes: Dict[str, int]) -> Dict[str, Any]:
-    """One timed load run -> the ``serving`` section of the report."""
+def measure(quick: bool) -> Dict[str, Any]:
+    """One timed load run -> the report section at that size."""
+    verify(QUICK["n_nodes"], QUICK["epochs"])
+    sizes = QUICK if quick else FULL
+    print(
+        f"\nmeasuring {'quick' if quick else 'full'} load "
+        f"({sizes['subscribers']} subscribers, {sizes['shards']} shards) ..."
+    )
 
     async def main():
         service = MapService(
@@ -96,16 +105,13 @@ def measure(sizes: Dict[str, int]) -> Dict[str, Any]:
 
     report = asyncio.run(main())
     print(report.to_table())
-    return report.to_dict()
+    return {"n": sizes["subscribers"], "serving": report.to_dict()}
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Any], quick: bool
+def check(
+    section: Dict[str, Any], measured: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
     """Regression messages (empty = pass): throughput < committed/4."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
     baseline = section.get("serving")
     if not baseline:
         return ["committed report has no serving section"]
@@ -115,7 +121,7 @@ def check_against(
         ("delta deliveries/s", ("delta_stream", "deliveries_per_s")),
     ):
         want = baseline[path[0]][path[1]] / 4.0
-        got = measured[path[0]][path[1]]
+        got = measured["serving"][path[0]][path[1]]
         if got < want:
             problems.append(
                 f"{label}: measured {got:.0f}/s < floor {want:.0f}/s "
@@ -125,53 +131,18 @@ def check_against(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if "
-                    "throughput fell below a quarter of its committed value")
-    args = ap.parse_args(argv)
-
-    print("verifying replay/snapshot byte-identity ...")
-    verify(QUICK["n_nodes"], QUICK["epochs"])
-
-    if args.quick:
-        print(f"\nmeasuring quick load ({QUICK['subscribers']} subscribers, inline) ...")
-        quick_serving = measure(QUICK)
-        measured, rep = quick_serving, None
-    else:
-        print(
-            f"\nmeasuring full load ({FULL['subscribers']} subscribers, "
-            f"{FULL['shards']} shards) ..."
-        )
-        full_serving = measure(FULL)
-        print(f"\nmeasuring quick load ({QUICK['subscribers']} subscribers, inline) ...")
-        quick_serving = measure(QUICK)
-        rep = record.report(
-            FULL["subscribers"],
-            kernels={},
+    return record.run_gate(
+        argv, __doc__,
+        "if throughput fell below a quarter of its committed value",
+        BENCH_JSON, measure,
+        lambda full, quick: record.report(
+            full["n"],
             timing="one load run, wall clock (latencies ms, throughput /s)",
-            serving=full_serving,
-            quick={"n": QUICK["subscribers"], "serving": quick_serving},
-        )
-        del rep["kernels"]  # this report has no kernel section
-        measured = full_serving
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nthroughput regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno throughput regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+            serving=full["serving"],
+            quick=quick,
+        ),
+        check,
+    )
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ gated -- it is wall-clock and machine-dependent.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import functools
 import pathlib
 import sys
 from typing import Any, Dict, List, Optional
@@ -86,8 +86,12 @@ def _supervision(compute_timeout: float) -> SupervisorConfig:
     )
 
 
-def verify(sizes: Dict[str, Any]) -> None:
-    """Untimed acceptance pass: chaos costs retries, never bytes."""
+@functools.lru_cache(maxsize=None)
+def verify() -> None:
+    """Untimed acceptance pass at the quick sizes (once per process):
+    chaos costs retries, never bytes."""
+    print("verifying chaos-run byte-identity vs fault-free truth ...")
+    sizes = QUICK
     config = _config(sizes["n_nodes"])
     compute = SessionCompute(config)
     truth = []
@@ -126,8 +130,14 @@ def verify(sizes: Dict[str, Any]) -> None:
     asyncio.run(main())
 
 
-def measure(sizes: Dict[str, Any]) -> Dict[str, Any]:
-    """One chaos load run -> the ``serving_faults`` report section."""
+def measure(quick: bool) -> Dict[str, Any]:
+    """One chaos load run -> the report section at that size."""
+    verify()
+    sizes = QUICK if quick else FULL
+    print(
+        f"\nmeasuring {'quick' if quick else 'full'} chaos run "
+        f"({sizes['epochs']} epochs, {sizes['shards']} shards) ..."
+    )
 
     async def main():
         service = MapService(
@@ -197,19 +207,17 @@ def measure(sizes: Dict[str, Any]) -> Dict[str, Any]:
         f"MTTR mean {rec['mttr_ms_mean']:.1f} ms / p95 {rec['mttr_ms_p95']:.1f} ms, "
         f"availability {rec['availability']:.2%}"
     )
-    return section
+    return {"n": sizes["subscribers"], "serving_faults": section}
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Any], quick: bool
+def check(
+    section: Dict[str, Any], measured: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
     """Gate messages (empty = pass): injection determinism + availability."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
     baseline = section.get("serving_faults")
     if not baseline:
         return ["committed report has no serving_faults section"]
+    measured = measured["serving_faults"]
     problems = []
     if measured["injected"] != baseline["injected"]:
         problems.append(
@@ -234,53 +242,18 @@ def check_against(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on an "
-                    "injection-determinism break or halved availability")
-    args = ap.parse_args(argv)
-
-    print("verifying chaos-run byte-identity vs fault-free truth ...")
-    verify(QUICK)
-
-    if args.quick:
-        print(f"\nmeasuring quick chaos run ({QUICK['epochs']} epochs, inline) ...")
-        quick_faults = measure(QUICK)
-        measured, rep = quick_faults, None
-    else:
-        print(
-            f"\nmeasuring full chaos run ({FULL['epochs']} epochs, "
-            f"{FULL['shards']} shards) ..."
-        )
-        full_faults = measure(FULL)
-        print(f"\nmeasuring quick chaos run ({QUICK['epochs']} epochs, inline) ...")
-        quick_faults = measure(QUICK)
-        rep = record.report(
-            FULL["subscribers"],
-            kernels={},
+    return record.run_gate(
+        argv, __doc__,
+        "on an injection-determinism break or halved availability",
+        BENCH_JSON, measure,
+        lambda full, quick: record.report(
+            full["n"],
             timing="one seeded chaos run, wall clock (MTTR ms)",
-            serving_faults=full_faults,
-            quick={"n": QUICK["subscribers"], "serving_faults": quick_faults},
-        )
-        del rep["kernels"]  # this report has no kernel section
-        measured = full_faults
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nfault-recovery regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno fault-recovery regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+            serving_faults=full["serving_faults"],
+            quick=quick,
+        ),
+        check,
+    )
 
 
 if __name__ == "__main__":

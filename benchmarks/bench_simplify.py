@@ -33,7 +33,6 @@ acceptance bar (ratio >= 5x at <= 1 grid cell).
 
 from __future__ import annotations
 
-import argparse
 import math
 import pathlib
 import random
@@ -204,35 +203,29 @@ def format_serving(s: Dict[str, Any]) -> str:
     )
 
 
+def measure(quick: bool) -> Dict[str, Any]:
+    """Both sections at one size."""
+    n = QUICK_NODES if quick else FULL_NODES
+    print(f"\nmeasuring {'quick' if quick else 'full'} sizes (n={n}) ...")
+    kernels = measure_kernels(quick)
+    serving = measure_serving(n, epochs=3 if quick else 6, quick=quick)
+    print(record.format_kernels(kernels))
+    print(format_serving(serving))
+    return {"n": n, "kernels": kernels, "serving": serving}
+
+
 # ----------------------------------------------------------------------
 # Check mode
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict],
-    kernels: Dict[str, Dict],
-    serving: Dict[str, Any],
-    quick: bool,
+def check(
+    section: Dict[str, Any], measured: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
     """Regression messages (empty = pass)."""
-    if committed is None:
-        return ["no committed report to check against"]
-    problems: List[str] = []
+    problems = record.check_speedups(section, measured)
 
-    section = committed.get("quick", {}) if quick else committed
-    baseline_k = section.get("kernels", {})
-    for name, entry in kernels.items():
-        if name not in baseline_k:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline_k[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline_k[name]['speedup']:.2f}x)"
-            )
-
+    serving = measured["serving"]
     baseline_s = section.get("serving")
     if baseline_s is None:
         problems.append("serving: missing from committed report")
@@ -264,58 +257,15 @@ def check_against(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on "
-                    "kernel/byte-ratio regression or a tolerance violation")
-    args = ap.parse_args(argv)
-
-    if args.quick:
-        print(f"measuring quick sizes (n={QUICK_NODES}) ...")
-        kernels = measure_kernels(quick=True)
-        serving = measure_serving(QUICK_NODES, epochs=3, quick=True)
-        print(record.format_kernels(kernels))
-        print(format_serving(serving))
-        rep = None
-    else:
-        print(f"measuring full sizes (n={FULL_NODES}) ...")
-        kernels = measure_kernels(quick=False)
-        serving = measure_serving(FULL_NODES, epochs=6, quick=False)
-        print(record.format_kernels(kernels))
-        print(format_serving(serving))
-        print(f"\nmeasuring quick sizes (n={QUICK_NODES}) ...")
-        quick_kernels = measure_kernels(quick=True)
-        quick_serving = measure_serving(QUICK_NODES, epochs=3, quick=True)
-        print(record.format_kernels(quick_kernels))
-        print(format_serving(quick_serving))
-        rep = record.report(
-            FULL_NODES,
-            kernels,
-            serving=serving,
-            quick={
-                "n": QUICK_NODES,
-                "kernels": quick_kernels,
-                "serving": quick_serving,
-            },
-        )
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)),
-            kernels, serving, args.quick,
-        )
-        if problems:
-            print("\nregression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    return record.run_gate(
+        argv, __doc__,
+        "on kernel/byte-ratio regression or a tolerance violation",
+        BENCH_JSON, measure,
+        lambda full, quick: record.report(
+            full["n"], full["kernels"], serving=full["serving"], quick=quick
+        ),
+        check,
+    )
 
 
 if __name__ == "__main__":

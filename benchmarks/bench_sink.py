@@ -31,13 +31,13 @@ Usage::
 
 ``--check`` compares each measured speedup against the committed report
 (the ``quick`` section when ``--quick`` is given) and exits 1 if any
-stage runs at less than half its committed speedup -- tolerant enough
-for loaded CI machines, tight enough to catch a devectorized stage.
+stage runs at less than half its committed speedup
+(:func:`record.check_speedups`) -- tolerant enough for loaded CI
+machines, tight enough to catch a devectorized stage.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import pathlib
 import random
@@ -84,6 +84,7 @@ BENCH_JSON = _HERE.parent / "BENCH_sink.json"
 #: operating point is the *node* count; the sink stress case puts that
 #: many reports on one isoline.
 FULL_N = 2500
+QUICK_N = 500
 
 
 # ----------------------------------------------------------------------
@@ -215,9 +216,11 @@ def _fig12_eval_reference(maps, levels, grid: int) -> List[Optional[float]]:
 # ----------------------------------------------------------------------
 
 
-def measure(n: int, quick: bool) -> Dict[str, Dict]:
-    """Measure every stage pair at size ``n`` and return the ``kernels``
+def measure(quick: bool) -> Dict[str, Dict]:
+    """Measure every stage pair at one size and return its report
     section (asserting fast/reference agreement along the way)."""
+    n = QUICK_N if quick else FULL_N
+    print(f"\nmeasuring {'quick' if quick else 'full'} sizes (n={n}) ...")
     heavy_reps = 1 if not quick else 2
     light_reps = 3 if not quick else 3
 
@@ -319,77 +322,17 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
         record.best_of(lambda: _fig12_eval_reference(maps, levels, fig_grid), heavy_reps),
         record.best_of(lambda: _fig12_eval_fast(maps, levels, fig_grid), heavy_reps + 1),
     )
-    return kernels
-
-
-# ----------------------------------------------------------------------
-# Check mode
-# ----------------------------------------------------------------------
-
-
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Dict], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass): any stage at < committed/2."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("kernels", {})
-    problems = []
-    for name, entry in measured.items():
-        if name not in baseline:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline[name]['speedup']:.2f}x)"
-            )
-    return problems
+    print(record.format_kernels(kernels))
+    return {"n": n, "kernels": kernels}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if any "
-                    "stage runs at < half its committed speedup")
-    args = ap.parse_args(argv)
-
-    quick_n = 500
-    if args.quick:
-        print(f"measuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        measured, rep = quick_kernels, None
-    else:
-        print(f"measuring full sizes (n={FULL_N}) ...")
-        full_kernels = measure(FULL_N, quick=False)
-        print(record.format_kernels(full_kernels))
-        print(f"\nmeasuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        rep = record.report(
-            FULL_N, full_kernels, quick={"n": quick_n, "kernels": quick_kernels}
-        )
-        measured = full_kernels
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nspeedup regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno stage regressed vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    return record.run_gate(
+        argv, __doc__, "if any stage runs at < half its committed speedup",
+        BENCH_JSON, measure,
+        lambda full, quick: record.report(full["n"], full["kernels"], quick=quick),
+        record.check_speedups,
+    )
 
 
 if __name__ == "__main__":

@@ -28,12 +28,12 @@ Usage::
 
 ``--check`` compares each measured speedup against the committed report
 (the ``quick`` section when ``--quick`` is given) and exits 1 if any
-kernel runs at less than half its committed speedup.
+kernel runs at less than half its committed speedup
+(:func:`record.check_speedups`).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import pathlib
 import sys
@@ -66,6 +66,7 @@ BENCH_JSON = _HERE.parent / "BENCH_transport.json"
 
 #: Headline size: the paper's density-1 operating point.
 FULL_N = 2500
+QUICK_N = 400
 
 #: Large-n feasibility point (side 200 at density 1).
 LARGE_N = 40000
@@ -119,8 +120,11 @@ def _verify_tree(net: SensorNetwork) -> None:
     assert fast.children == ref.children
 
 
-def measure(n: int, quick: bool) -> Dict[str, Dict]:
-    """Measure both kernels at size ``n`` (verifying bit-identity first)."""
+def measure(quick: bool) -> Dict[str, Dict]:
+    """Measure both kernels at one size and return its report section
+    (verifying bit-identity first)."""
+    n = QUICK_N if quick else FULL_N
+    print(f"\nmeasuring {'quick' if quick else 'full'} sizes (n={n}) ...")
     repeats = 2 if quick else 3
     net = _network(n)
     kernels: Dict[str, Dict] = {}
@@ -152,17 +156,23 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
         ref_ms,
         fast_ms,
     )
-    return kernels
+    print(record.format_kernels(kernels))
+    return {"n": n, "kernels": kernels}
 
 
 def measure_large_n() -> Dict[str, float]:
     """Absolute feasibility: one moderate-fault epoch at n = 40000."""
+    print(f"\nmeasuring large-n feasibility (n={LARGE_N}) ...")
     t0 = time.perf_counter()
     net = _network(LARGE_N)
     build_ms = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     _run_epoch(net, batched=True)
     epoch_ms = (time.perf_counter() - t0) * 1e3
+    print(
+        f"n={LARGE_N}: topology {build_ms:.0f} ms, "
+        f"moderate-fault epoch {epoch_ms:.0f} ms"
+    )
     return {
         "n": LARGE_N,
         "topology_build_ms": round(build_ms, 1),
@@ -171,78 +181,15 @@ def measure_large_n() -> Dict[str, float]:
     }
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Dict], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass): any kernel at < committed/2."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("kernels", {})
-    problems = []
-    for name, entry in measured.items():
-        if name not in baseline:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline[name]['speedup']:.2f}x)"
-            )
-    return problems
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if any "
-                    "kernel runs at < half its committed speedup")
-    args = ap.parse_args(argv)
-
-    quick_n = 400
-    if args.quick:
-        print(f"measuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        measured, rep = quick_kernels, None
-    else:
-        print(f"measuring full sizes (n={FULL_N}) ...")
-        full_kernels = measure(FULL_N, quick=False)
-        print(record.format_kernels(full_kernels))
-        print(f"\nmeasuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        print(f"\nmeasuring large-n feasibility (n={LARGE_N}) ...")
-        large = measure_large_n()
-        print(
-            f"n={large['n']}: topology {large['topology_build_ms']:.0f} ms, "
-            f"moderate-fault epoch {large['epoch_ms']:.0f} ms"
-        )
-        rep = record.report(
-            FULL_N,
-            full_kernels,
-            quick={"n": quick_n, "kernels": quick_kernels},
-            large_n=large,
-        )
-        measured = full_kernels
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nspeedup regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno kernel regressed vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    return record.run_gate(
+        argv, __doc__, "if any kernel runs at < half its committed speedup",
+        BENCH_JSON, measure,
+        lambda full, quick: record.report(
+            full["n"], full["kernels"], quick=quick, large_n=measure_large_n()
+        ),
+        record.check_speedups,
+    )
 
 
 if __name__ == "__main__":

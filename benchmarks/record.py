@@ -1,8 +1,7 @@
-"""Shared helpers for the before/after benchmark reports.
+"""Shared helpers for the before/after benchmark reports and their gates.
 
-Both ``bench_kernel.py`` (node-side kernels, ``BENCH_kernels.json``) and
-``bench_sink.py`` (sink-side pipeline, ``BENCH_sink.json``) publish the
-same JSON shape::
+The kernel benches (``bench_kernel.py``, ``bench_sink.py``, ...) publish
+the same JSON shape::
 
     {
       "n": 2500,
@@ -18,15 +17,22 @@ same JSON shape::
           "speedup": 3.82
         },
         ...
-      }
+      },
+      "quick": {"n": 500, "kernels": {...}}
     }
 
-plus optional extra sections (``bench_sink.py`` adds a ``quick`` section
-with the same ``{"n", "kernels"}`` shape for the CI smoke sizes).
+plus optional extra sections.  The top level is the *full* section and
+``quick`` holds the same sections at the CI smoke sizes.
+
+Every ``BENCH_<x>.json`` script runs through :func:`run_gate`: plain
+runs measure both sizes and rewrite the report, ``--quick`` measures
+the smoke sizes only, and ``--check PATH`` compares the measured
+section against the matching committed one and exits 1 on any problem.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import multiprocessing
 import pathlib
@@ -34,7 +40,7 @@ import platform
 import resource
 import sys
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -102,16 +108,18 @@ def kernel_entry(
 
 
 def report(
-    n: int, kernels: Dict[str, Dict[str, Any]], **extra: Any
+    n: int, kernels: Optional[Dict[str, Dict[str, Any]]] = None, **extra: Any
 ) -> Dict[str, Any]:
-    """Assemble a full report dict in the shared schema."""
+    """Assemble a full report dict in the shared schema (no ``kernels``
+    section when ``kernels`` is None)."""
     rep: Dict[str, Any] = {
         "n": n,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "timing": "min over repeats, wall clock (ms)",
-        "kernels": kernels,
     }
+    if kernels is not None:
+        rep["kernels"] = kernels
     rep.update(extra)
     return rep
 
@@ -140,3 +148,96 @@ def format_kernels(kernels: Dict[str, Dict[str, Any]]) -> str:
             f"{e['vectorized_ms']:>14.3f} {e['speedup']:>7.2f}x"
         )
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Gates
+# ----------------------------------------------------------------------
+
+#: ``check(section, measured, committed) -> problem lines``: ``section``
+#: is the committed section matching the run's size, ``measured`` the
+#: run's own section of the same shape, ``committed`` the whole report.
+Check = Callable[[Dict[str, Any], Dict[str, Any], Dict[str, Any]], List[str]]
+
+
+def committed_section(committed: Dict[str, Any], quick: bool) -> Dict[str, Any]:
+    """The committed section a run at this size is checked against."""
+    return committed.get("quick", {}) if quick else committed
+
+
+def check_speedups(
+    section: Dict[str, Any],
+    measured: Dict[str, Any],
+    committed: Optional[Dict[str, Any]] = None,
+) -> List[str]:
+    """Every measured kernel must keep half its committed speedup."""
+    baseline = section.get("kernels", {})
+    problems = []
+    for name, entry in measured["kernels"].items():
+        if name not in baseline:
+            problems.append(f"{name}: missing from committed report")
+            continue
+        floor = baseline[name]["speedup"] / 2.0
+        if entry["speedup"] < floor:
+            problems.append(
+                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
+                f"(committed {baseline[name]['speedup']:.2f}x)"
+            )
+    return problems
+
+
+def gate_problems(
+    committed: Optional[Dict[str, Any]],
+    measured: Dict[str, Any],
+    quick: bool,
+    check: Check,
+) -> List[str]:
+    """Problem lines of one gate run (empty = pass)."""
+    if committed is None:
+        return ["no committed report to check against"]
+    return check(committed_section(committed, quick), measured, committed)
+
+
+def run_gate(
+    argv: Optional[List[str]],
+    doc: str,
+    check_help: str,
+    bench_json: pathlib.Path,
+    measure: Callable[[bool], Dict[str, Any]],
+    assemble: Callable[[Dict[str, Any], Dict[str, Any]], Dict[str, Any]],
+    check: Check,
+) -> int:
+    """The ``--quick`` / ``--check`` / write driver of a BENCH script.
+
+    ``measure(quick)`` returns the report section at one size (the
+    shape of the committed ``quick`` section); ``assemble(full, quick)``
+    builds the full report from the two.  A full run always measures
+    both sizes; without ``--check`` it rewrites ``bench_json``.
+    """
+    ap = argparse.ArgumentParser(description=doc.split("\n")[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="CI smoke sizes only; does not write the report")
+    ap.add_argument("--check", metavar="PATH", default=None,
+                    help="compare against a committed report; exit 1 " + check_help)
+    args = ap.parse_args(argv)
+
+    measured = measure(args.quick)
+    rep = None if args.quick else assemble(measured, measure(True))
+
+    if args.check:
+        problems = gate_problems(
+            load_report(pathlib.Path(args.check)), measured, args.quick, check
+        )
+        if problems:
+            print("\nregression vs committed report:")
+            for p in problems:
+                print(f"  {p}")
+            return 1
+        print(f"\nno regression vs {args.check}")
+    elif rep is not None:
+        if not rep.get("verify", {"ok": True})["ok"]:
+            print("\nrefusing to write a report with a failed verify")
+            return 1
+        write_report(bench_json, rep)
+        print(f"\nwrote {bench_json}")
+    return 0

@@ -36,7 +36,7 @@ deployment can be reused across protocol runs and seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -301,7 +301,6 @@ class FaultEngine:
         self._crashed: List[int] = []
         self._recovered: List[int] = []
         self._corrupt_rng = random.Random(f"{plan.seed}|corrupt")
-        self._dup_rng = random.Random(f"{plan.seed}|dup")
         #: Attempt slots reserved per frame; the transport sets this to
         #: its ARQ ceiling before any frame draw happens.
         self.attempts_per_frame = 1
@@ -526,27 +525,6 @@ class FaultEngine:
         streams = [self._edge(u, v) for (u, v) in edges]
         return _frame_draws(self.plan, self.attempts_per_frame, streams, counts)
 
-    def _ge_states_batch(
-        self,
-        streams: List[_EdgeStreams],
-        counts: np.ndarray,
-        f0: np.ndarray,
-        frames: np.ndarray,
-        edge_of: np.ndarray,
-        model: GilbertElliottLink,
-    ) -> np.ndarray:
-        """See :func:`_ge_states_scan` (kept as a method for callers)."""
-        return _ge_states_scan(
-            self.attempts_per_frame, streams, counts, f0, frames, edge_of, model
-        )
-
-    def corrupts(self) -> bool:
-        """Does the next delivered frame arrive bit-damaged?"""
-        return (
-            self.plan.corruption > 0.0
-            and self._corrupt_rng.random() < self.plan.corruption
-        )
-
     def corrupt_payload(self, payload: bytes) -> bytes:
         """Flip 1-3 distinct random bits of ``payload`` (the injected
         damage; distinct so the frame is always genuinely altered)."""
@@ -557,13 +535,6 @@ class FaultEngine:
         for bit in self._corrupt_rng.sample(range(len(damaged) * 8), flips):
             damaged[bit // 8] ^= 1 << (bit % 8)
         return bytes(damaged)
-
-    def duplicates(self) -> bool:
-        """Does the next delivered frame arrive twice?"""
-        return (
-            self.plan.duplication > 0.0
-            and self._dup_rng.random() < self.plan.duplication
-        )
 
 
 def _frame_draws(
