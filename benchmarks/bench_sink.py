@@ -29,11 +29,14 @@ Usage::
     python benchmarks/bench_sink.py --quick --check BENCH_sink.json
                                                   # fail if any stage regressed >2x
 
-``--check`` compares each measured speedup against the committed report
-(the ``quick`` section when ``--quick`` is given) and exits 1 if any
-stage runs at less than half its committed speedup
-(:func:`record.check_speedups`) -- tolerant enough for loaded CI
-machines, tight enough to catch a devectorized stage.
+Each stage's reference and fast calls are timed in alternating rounds,
+the same number on each side (:func:`record.paired_best`), and the
+speedup is the ratio of the two minimum times.  ``--check`` compares
+each measured speedup against the committed report (the ``quick``
+section when ``--quick`` is given) and exits 1 if any stage runs at
+less than half its committed speedup (:func:`record.check_speedups`)
+-- tolerant enough for loaded CI machines, tight enough to catch a
+devectorized stage.
 """
 
 from __future__ import annotations
@@ -221,8 +224,10 @@ def measure(quick: bool) -> Dict[str, Dict]:
     section (asserting fast/reference agreement along the way)."""
     n = QUICK_N if quick else FULL_N
     print(f"\nmeasuring {'quick' if quick else 'full'} sizes (n={n}) ...")
-    heavy_reps = 1 if not quick else 2
-    light_reps = 3 if not quick else 3
+    # Rounds per stage; each round times one reference and one fast
+    # call back to back (record.paired_best).
+    heavy = 4 if quick else 2
+    light = 30
 
     kernels: Dict[str, Dict] = {}
     box = BoundingBox(0, 0, 100, 100)
@@ -235,8 +240,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["voronoi"] = record.kernel_entry(
         "bounded_voronoi_reference (per-site sort + scalar clips)",
         "bounded_voronoi_batched (blocked prefilter + no-op pruning)",
-        record.best_of(lambda: bounded_voronoi_reference(sites, box), heavy_reps),
-        record.best_of(lambda: bounded_voronoi_batched(sites, box), heavy_reps + 1),
+        *record.paired_best(
+            lambda: bounded_voronoi_reference(sites, box),
+            lambda: bounded_voronoi_batched(sites, box),
+            heavy,
+        ),
     )
 
     # --- dedupe -------------------------------------------------------
@@ -245,8 +253,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["dedupe"] = record.kernel_entry(
         "_dedupe_reports_reference (all-pairs scan)",
         "_dedupe_reports (spatial hash)",
-        record.best_of(lambda: _dedupe_reports_reference(dreports), heavy_reps + 1),
-        record.best_of(lambda: _dedupe_reports(dreports), 10),
+        *record.paired_best(
+            lambda: _dedupe_reports_reference(dreports),
+            lambda: _dedupe_reports(dreports),
+            light,
+        ),
     )
 
     # --- reconstruction ----------------------------------------------
@@ -258,8 +269,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["reconstruction"] = record.kernel_entry(
         "build_level_region_reference (scalar kernels end to end)",
         "build_level_region (vectorized dedupe/voronoi/boundary)",
-        record.best_of(lambda: build_level_region_reference(8.0, rreports, box), heavy_reps),
-        record.best_of(lambda: build_level_region(8.0, rreports, box), heavy_reps + 1),
+        *record.paired_best(
+            lambda: build_level_region_reference(8.0, rreports, box),
+            lambda: build_level_region(8.0, rreports, box),
+            heavy,
+        ),
     )
 
     # --- marching squares --------------------------------------------
@@ -276,8 +290,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["marching_squares"] = record.kernel_entry(
         "extract_isolines_reference (per-square scalar loop)",
         "extract_isolines (one-array-op case classification)",
-        record.best_of(lambda: extract_isolines_reference(field, 8.0, ms_grid, ms_grid), light_reps),
-        record.best_of(_ms_fast, 10),
+        *record.paired_best(
+            lambda: extract_isolines_reference(field, 8.0, ms_grid, ms_grid),
+            _ms_fast,
+            light,
+        ),
     )
 
     # --- resample -----------------------------------------------------
@@ -290,8 +307,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["resample"] = record.kernel_entry(
         "resample_polyline (scalar arclength walk)",
         "resample_polyline_fast (cumulative-length searchsorted)",
-        record.best_of(lambda: resample_polyline(line, 0.05), light_reps + 2),
-        record.best_of(lambda: resample_polyline_fast(line, 0.05), 10),
+        *record.paired_best(
+            lambda: resample_polyline(line, 0.05),
+            lambda: resample_polyline_fast(line, 0.05),
+            light,
+        ),
     )
 
     # --- hausdorff ----------------------------------------------------
@@ -301,8 +321,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["hausdorff"] = record.kernel_entry(
         "directed_hausdorff_reference (nested scalar min/max)",
         "directed_hausdorff (blocked broadcast)",
-        record.best_of(lambda: directed_hausdorff_reference(pa, pb), heavy_reps),
-        record.best_of(lambda: directed_hausdorff(pa, pb), 5),
+        *record.paired_best(
+            lambda: directed_hausdorff_reference(pa, pb),
+            lambda: directed_hausdorff(pa, pb),
+            heavy,
+        ),
     )
 
     # --- fig12 evaluation loop ---------------------------------------
@@ -319,8 +342,11 @@ def measure(quick: bool) -> Dict[str, Dict]:
     kernels["fig12_hausdorff_eval"] = record.kernel_entry(
         "per-(map,level) scalar truth extraction + resample + Hausdorff",
         "memoised vectorized mean_isoline_hausdorff",
-        record.best_of(lambda: _fig12_eval_reference(maps, levels, fig_grid), heavy_reps),
-        record.best_of(lambda: _fig12_eval_fast(maps, levels, fig_grid), heavy_reps + 1),
+        *record.paired_best(
+            lambda: _fig12_eval_reference(maps, levels, fig_grid),
+            lambda: _fig12_eval_fast(maps, levels, fig_grid),
+            heavy,
+        ),
     )
     print(record.format_kernels(kernels))
     return {"n": n, "kernels": kernels}

@@ -40,7 +40,7 @@ import platform
 import resource
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,6 +92,31 @@ def best_of(fn: Callable[[], Any], repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return min(times) * 1e3
+
+
+def paired_best(
+    reference: Callable[[], Any], fast: Callable[[], Any], rounds: int
+) -> Tuple[float, float]:
+    """Min wall times in ms of ``reference`` and ``fast``, timed in
+    alternating rounds (one call of each per round, ``rounds`` rounds).
+
+    Alternation exposes both sides to the same stretch of machine load:
+    a burst of contention slows one call of each side instead of every
+    repeat of one, so the ratio of the two minima -- the speedup a gate
+    reads -- stays steady where two separate ``best_of`` runs drift.
+    The order within a round flips every round (reference first, then
+    fast first), so each side also gets calls that follow its own and
+    run on caches it warmed.
+    """
+    ref: List[float] = []
+    fst: List[float] = []
+    for r in range(rounds):
+        pair = ((reference, ref), (fast, fst))
+        for fn, times in pair if r % 2 == 0 else pair[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+    return min(ref) * 1e3, min(fst) * 1e3
 
 
 def kernel_entry(

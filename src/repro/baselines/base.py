@@ -187,12 +187,7 @@ def forward_reports_to_sink(
             continue
         pending.append((s, rid))
 
-    if (
-        transport.engine is None
-        and transport.link_model is None
-        and transport.config.batched
-        and pending
-    ):
+    if transport.engine is None and transport.config.batched and pending:
         # Perfect links and no faults: every report travels its full
         # path, so the per-hop charges collapse to subtree counts --
         # no per-frame Python at all (what makes n=40k feasible).

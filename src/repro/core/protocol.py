@@ -26,7 +26,6 @@ from repro.core.reports import IsolineReport
 from repro.core.wire import QUERY_BYTES
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultEngine, FaultPlan
-from repro.network.links import LossyLinkModel
 from repro.network.tiling import TilePartition
 from repro.network.transport import (
     DegradationReport,
@@ -107,24 +106,23 @@ class IsoMapProtocol:
             ``"linear"`` (the paper's choice, Eq. 2) or ``"quadratic"``
             (the richer model Section 3.3 mentions; falls back to linear
             on neighbourhoods too small for six coefficients).
-        link_model: optional lossy-link model for the report collection
-            phase (the paper assumes perfect links; see
-            :mod:`repro.network.links`).  Retransmission attempts are
-            charged and exhausted reports are lost in transit.
-        link_seed: seed for the link-loss randomness (kept separate from
-            deployment randomness so runs stay reproducible).
         fault_plan: optional :class:`FaultPlan` applied during collection
-            (mid-epoch crashes, burst loss, corruption, duplication);
-            mutually exclusive with ``link_model``.
+            (mid-epoch crashes, i.i.d. or burst link loss, corruption,
+            duplication).  The paper assumes perfect links; lossy links
+            are ``FaultPlan(seed, link=BernoulliLink(1 - loss))``, with
+            the retry budget in ``transport_config``.
         transport_config: defense knobs of the collection transport;
             defaults to every defense on (which charges nothing extra at
             zero faults).
         tile_size: optional spatial tile edge length; under a fault plan
-            the collection transport resolves each level's draws per
-            sender-tile (:mod:`repro.network.tiling`), bit-identical to
-            the untiled path at any tile size but memory-bounded by the
-            largest tile.  None keeps the single global batch.
-        tile_jobs: worker processes for per-tile resolution (1 = inline).
+            the collection transport draws each level's faults one
+            sender tile at a time (:mod:`repro.network.tiling`),
+            bit-identical to the untiled path at any tile size but with
+            the draw kernel's memory bounded by the largest tile.  None
+            draws each level as one tile.
+        tile_jobs: must be 1 -- every tile resolves in this process.
+            Callers that name it keep working; any other value raises
+            :class:`ValueError`.
     """
 
     name = "iso-map"
@@ -135,8 +133,6 @@ class IsoMapProtocol:
         filter_config: Optional[FilterConfig] = None,
         regulate: bool = True,
         regression: str = "linear",
-        link_model: Optional["LossyLinkModel"] = None,
-        link_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         transport_config: Optional[TransportConfig] = None,
         tile_size: Optional[float] = None,
@@ -144,18 +140,19 @@ class IsoMapProtocol:
     ):
         if regression not in ("linear", "quadratic"):
             raise ValueError(f"unknown regression model {regression!r}")
+        if tile_jobs != 1:
+            raise ValueError(
+                f"tile_jobs must be 1 (tiles resolve in-process), got {tile_jobs!r}"
+            )
         self.query = query
         self.filter_config = (
             filter_config if filter_config is not None else FilterConfig()
         )
         self.regulate = regulate
         self.regression = regression
-        self.link_model = link_model
-        self.link_seed = link_seed
         self.fault_plan = fault_plan
         self.transport_config = transport_config
         self.tile_size = tile_size
-        self.tile_jobs = tile_jobs
 
     # ------------------------------------------------------------------
     # Public API
@@ -181,11 +178,8 @@ class IsoMapProtocol:
             costs,
             config=self.transport_config,
             plan=self.fault_plan,
-            link_model=self.link_model,
-            link_seed=self.link_seed,
             mangler=make_report_mangler(self.query, network.bounds),
             tiling=tiling,
-            tile_jobs=self.tile_jobs,
         )
         delivered, dropped = self._collect(network, generated, costs, transport)
         degradation = transport.finalize()

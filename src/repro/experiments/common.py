@@ -184,13 +184,12 @@ def run_isomap(
     fault_plan: Optional[FaultPlan] = None,
     transport_config: Optional[TransportConfig] = None,
     tile_size: Optional[float] = None,
-    tile_jobs: int = 1,
 ) -> IsoMapResult:
     """Run Iso-Map with the paper's defaults unless overridden.
 
-    ``fault_plan`` / ``transport_config`` / ``tile_size`` / ``tile_jobs``
-    forward straight to :class:`IsoMapProtocol`; the tile arguments only
-    matter under a non-null fault plan (see :mod:`repro.network.tiling`).
+    ``fault_plan`` / ``transport_config`` / ``tile_size`` forward
+    straight to :class:`IsoMapProtocol`; ``tile_size`` only matters
+    under a non-null fault plan (see :mod:`repro.network.tiling`).
     """
     q = query if query is not None else PAPER_QUERY
     cfg = filter_config if filter_config is not None else PAPER_FILTER
@@ -200,7 +199,6 @@ def run_isomap(
         fault_plan=fault_plan,
         transport_config=transport_config,
         tile_size=tile_size,
-        tile_jobs=tile_jobs,
     ).run(network)
 
 

@@ -10,9 +10,8 @@ first):
 - **mid-epoch node crashes and recoveries**, scheduled at a tree-level
   slot: a node that crashes at slot ``s`` stops relaying before the
   nodes of level ``s`` transmit, stranding any reports buffered in it;
-- **burst link loss** via a two-state Gilbert-Elliott chain per directed
-  link (alongside the existing i.i.d. Bernoulli model of
-  :mod:`repro.network.links`);
+- **link loss**: i.i.d. per-attempt Bernoulli loss, or bursts via a
+  two-state Gilbert-Elliott chain per directed link;
 - **payload corruption**: a delivered frame's bits are flipped, which a
   CRC-checking receiver detects (and the sender retries) and a naive
   receiver accepts as a poisoned report;
@@ -41,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.network.links import LossyLinkModel
 from repro.network.network import SensorNetwork
 from repro.network.rngstream import derive_key, uniform_at, uniforms_at_many
 
@@ -50,10 +48,10 @@ from repro.network.rngstream import derive_key, uniform_at, uniforms_at_many
 class BernoulliLink:
     """Memoryless per-attempt loss: each attempt delivers with fixed odds.
 
-    The stateful-interface twin of :class:`LossyLinkModel` (which bundles
-    the same distribution with an ARQ budget); the transport owns the
-    retry budget now, so the link model only answers "did this attempt
-    get through".
+    The retry budget belongs to the transport
+    (:class:`~repro.network.transport.TransportConfig`), so the link
+    model only answers "did this attempt get through"; under ARQ with
+    ``r`` retries a hop delivers with probability ``1 - (1 - p)^(r+1)``.
     """
 
     delivery_probability: float = 0.9
@@ -522,8 +520,53 @@ class FaultEngine:
         would -- the returned booleans are bit-identical to the scalar
         :meth:`link_ok` / :meth:`corrupt_at` / :meth:`dup_at` answers.
         """
+        a = self.attempts_per_frame
+        plan = self.plan
+        model = plan.link
         streams = [self._edge(u, v) for (u, v) in edges]
-        return _frame_draws(self.plan, self.attempts_per_frame, streams, counts)
+        counts = np.asarray(counts, dtype=np.int64)
+        n_edges = len(streams)
+        total = int(counts.sum())
+        f0 = np.fromiter((es.frame for es in streams), np.int64, count=n_edges)
+
+        edge_of = np.repeat(np.arange(n_edges), counts)
+        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        frames = f0[edge_of] + within
+        t_del = frames[:, None] * a + np.arange(a)[None, :]
+
+        k_del = np.fromiter(
+            (es.k_deliver for es in streams), np.uint64, count=n_edges
+        )
+        u_del = uniforms_at_many(k_del[edge_of][:, None], t_del)
+        if model is None:
+            air_ok = np.ones((total, a), dtype=bool)
+        elif isinstance(model, GilbertElliottLink):
+            bad = _ge_states_scan(a, streams, counts, f0, frames, edge_of, model)
+            air_ok = u_del < np.where(bad, model.deliver_bad, model.deliver_good)
+        else:
+            air_ok = u_del < model.delivery_probability
+
+        if plan.corruption > 0.0:
+            k_cor = np.fromiter(
+                (es.k_corrupt for es in streams), np.uint64, count=n_edges
+            )
+            corrupt = (
+                uniforms_at_many(k_cor[edge_of][:, None], t_del) < plan.corruption
+            )
+        else:
+            corrupt = np.zeros((total, a), dtype=bool)
+
+        if plan.duplication > 0.0:
+            k_dup = np.fromiter(
+                (es.k_dup for es in streams), np.uint64, count=n_edges
+            )
+            dup = uniforms_at_many(k_dup[edge_of], frames) < plan.duplication
+        else:
+            dup = np.zeros(total, dtype=bool)
+
+        for i, es in enumerate(streams):
+            es.frame = int(f0[i] + counts[i])
+        return air_ok, corrupt, dup
 
     def corrupt_payload(self, payload: bytes) -> bytes:
         """Flip 1-3 distinct random bits of ``payload`` (the injected
@@ -535,66 +578,6 @@ class FaultEngine:
         for bit in self._corrupt_rng.sample(range(len(damaged) * 8), flips):
             damaged[bit // 8] ^= 1 << (bit % 8)
         return bytes(damaged)
-
-
-def _frame_draws(
-    plan: FaultPlan,
-    attempts_per_frame: int,
-    streams: List[_EdgeStreams],
-    counts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :meth:`FaultEngine.frame_draws_batch` kernel, engine-free.
-
-    Operates on explicit edge streams so detached per-tile resolution
-    (:func:`frame_draws_detached`) shares the exact code path -- and
-    therefore the exact IEEE-754 arithmetic -- of the engine's batch.
-    Advances each stream's frame cursor and burst-chain checkpoint.
-    """
-    a = attempts_per_frame
-    model = plan.link
-    counts = np.asarray(counts, dtype=np.int64)
-    n_edges = len(streams)
-    total = int(counts.sum())
-    f0 = np.fromiter((es.frame for es in streams), np.int64, count=n_edges)
-
-    edge_of = np.repeat(np.arange(n_edges), counts)
-    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    frames = f0[edge_of] + within
-    t_del = frames[:, None] * a + np.arange(a)[None, :]
-
-    k_del = np.fromiter(
-        (es.k_deliver for es in streams), np.uint64, count=n_edges
-    )
-    u_del = uniforms_at_many(k_del[edge_of][:, None], t_del)
-    if model is None:
-        air_ok = np.ones((total, a), dtype=bool)
-    elif isinstance(model, GilbertElliottLink):
-        bad = _ge_states_scan(a, streams, counts, f0, frames, edge_of, model)
-        air_ok = u_del < np.where(bad, model.deliver_bad, model.deliver_good)
-    else:
-        air_ok = u_del < model.delivery_probability
-
-    if plan.corruption > 0.0:
-        k_cor = np.fromiter(
-            (es.k_corrupt for es in streams), np.uint64, count=n_edges
-        )
-        corrupt = (
-            uniforms_at_many(k_cor[edge_of][:, None], t_del) < plan.corruption
-        )
-    else:
-        corrupt = np.zeros((total, a), dtype=bool)
-
-    if plan.duplication > 0.0:
-        k_dup = np.fromiter(
-            (es.k_dup for es in streams), np.uint64, count=n_edges
-        )
-        dup = uniforms_at_many(k_dup[edge_of], frames) < plan.duplication
-    else:
-        dup = np.zeros(total, dtype=bool)
-
-    for i, es in enumerate(streams):
-        es.frame = int(f0[i] + counts[i])
-    return air_ok, corrupt, dup
 
 
 def _ge_states_scan(
@@ -667,42 +650,3 @@ def _ge_states_scan(
     t_att = frames[:, None] * a + np.arange(1, a + 1)[None, :]
     pos = seg_start[edge_of][:, None] + (t_att - t_cp[edge_of][:, None])
     return state[pos]
-
-
-def frame_draws_detached(
-    plan: FaultPlan,
-    attempts_per_frame: int,
-    edges: Sequence[Tuple[int, int]],
-    counts: Sequence[int],
-    frame0: Sequence[int],
-    ge_t: Sequence[int],
-    ge_state: Sequence[bool],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int, bool]]]:
-    """:meth:`FaultEngine.frame_draws_batch` without an engine.
-
-    Rebuilds each edge's streams from shipped cursors (frame index plus
-    burst-chain checkpoint) and resolves the draws with the shared
-    kernel -- this is how a tile worker replays its slice of the epoch
-    in another process and lands on the exact variates the in-process
-    engine would.  Stream keys are pure functions of ``(plan.seed,
-    sender, receiver)``, so only the cursors need to travel.
-
-    Returns ``(air_ok, corrupt, dup, cursors)`` where ``cursors`` is the
-    advanced ``(frame, ge_t, ge_state)`` per edge for the caller to
-    write back into the authoritative engine.
-    """
-    streams: List[_EdgeStreams] = []
-    for k, (u, v) in enumerate(edges):
-        es = _EdgeStreams(plan.seed, int(u), int(v))
-        es.frame = int(frame0[k])
-        es.ge_t = int(ge_t[k])
-        es.ge_state = bool(ge_state[k])
-        streams.append(es)
-    air_ok, corrupt, dup = _frame_draws(plan, attempts_per_frame, streams, counts)
-    cursors = [(es.frame, es.ge_t, es.ge_state) for es in streams]
-    return air_ok, corrupt, dup, cursors
-
-
-def bernoulli_from_lossy(model: LossyLinkModel) -> BernoulliLink:
-    """Adapt the legacy ARQ-bundled model to the stateful link interface."""
-    return BernoulliLink(delivery_probability=model.delivery_probability)

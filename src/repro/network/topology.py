@@ -279,19 +279,6 @@ class CsrAdjacency:
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr=indptr, indices=indices)
 
-    @classmethod
-    def from_sets(cls, adj: Sequence[Set[int]]) -> "CsrAdjacency":
-        n = len(adj)
-        counts = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.fromiter(
-            (j for s in adj for j in sorted(s)),
-            dtype=np.int64,
-            count=int(counts.sum()),
-        )
-        return cls(indptr=indptr, indices=indices)
-
     def to_sets(self) -> List[Set[int]]:
         """Materialise per-node neighbour sets (the legacy adjacency view)."""
         idx = self.indices.tolist()

@@ -45,7 +45,6 @@ or ``duplicate_discarded``), which is the conservation law
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -65,14 +64,8 @@ from repro import profiling
 from repro.geometry import dist
 from repro.network.accounting import CostAccountant
 from repro.network.faults import FaultEngine, FaultPlan
-from repro.network.links import LossyLinkModel, charge_lossy_hop
 from repro.network.network import SensorNetwork
-from repro.network.tiling import (
-    AttemptResolution,
-    TilePartition,
-    reduce_attempt_draws,
-    resolve_tile_job,
-)
+from repro.network.tiling import TilePartition
 
 #: Terminal buckets (DegradationReport counter names) an instance can hit.
 _LOST = "lost"
@@ -95,8 +88,7 @@ class TransportConfig:
     Attributes:
         arq: retransmit frames lost or CRC-rejected on air.
         max_retries: retransmissions after the first attempt (so at most
-            ``max_retries + 1`` attempts per frame), matching
-            :class:`LossyLinkModel`'s budget shape.
+            ``max_retries + 1`` attempts per frame).
         backoff_base / backoff_cap: retry ``k`` (k >= 1) charges
             ``min(backoff_base << (k - 1), backoff_cap)`` ops at the
             sender -- the capped exponential backoff listen window.
@@ -309,6 +301,59 @@ FramesFor = Callable[[int], Sequence[OutFrame]]
 OnArrival = Callable[[int, int, OutFrame, Any, bool], None]
 
 
+@dataclass
+class AttemptResolution:
+    """Per-frame outcome of the batched ARQ loop over precomputed draws.
+
+    Attributes:
+        delivered: did any attempt resolve the frame?
+        attempts_used: attempts that went on air (1..A).
+        corr_res: resolving attempt arrived damaged (CRC off only).
+        corr_fail: final attempt arrived but was CRC-rejected, so the
+            exhaustion is a corruption discard (CRC on only).
+        corrupted_detected: damaged frames the CRC caught (CRC on only).
+    """
+
+    delivered: np.ndarray
+    attempts_used: np.ndarray
+    corr_res: np.ndarray
+    corr_fail: np.ndarray
+    corrupted_detected: int
+
+
+def reduce_attempt_draws(
+    air_ok: np.ndarray, corr: np.ndarray, crc: bool, max_attempts: int
+) -> AttemptResolution:
+    """Collapse ``(F, A)`` attempt draws into per-frame ARQ outcomes.
+
+    Mirrors the attempt loop of :meth:`EpochTransport.send` exactly: an
+    attempt resolves the frame when it survives the air and -- under a
+    CRC -- arrives undamaged (damaged ones are rejected and retried);
+    without a CRC any on-air arrival ends the loop.
+    """
+    total = air_ok.shape[0]
+    resolves = air_ok & ~corr if crc else air_ok
+    delivered = resolves.any(axis=1)
+    k_res = np.where(delivered, resolves.argmax(axis=1), max_attempts - 1)
+    attempts_used = k_res + 1
+    if crc:
+        executed = np.arange(max_attempts)[None, :] < attempts_used[:, None]
+        detected = int((air_ok & corr & executed).sum())
+        corr_res = np.zeros(total, dtype=bool)
+        corr_fail = (~delivered) & air_ok[:, -1] & corr[:, -1]
+    else:
+        detected = 0
+        corr_res = corr[np.arange(total), k_res]
+        corr_fail = np.zeros(total, dtype=bool)
+    return AttemptResolution(
+        delivered=delivered,
+        attempts_used=attempts_used,
+        corr_res=corr_res,
+        corr_fail=corr_fail,
+        corrupted_detected=detected,
+    )
+
+
 class EpochTransport:
     """Carries one protocol's collection epoch over a faulty network.
 
@@ -317,24 +362,18 @@ class EpochTransport:
             fault engine).
         costs: the run's accountant; all transport work is charged here.
         config: defense knobs; defaults to :meth:`TransportConfig.hardened`.
-        plan: the fault plan; None or a null plan selects the exact
-            fast path of the pre-transport code (byte-identical charges).
-        link_model: the legacy Bernoulli+ARQ model of
-            :mod:`repro.network.links`, honoured verbatim (same rng
-            consumption order) for backward compatibility; mutually
-            exclusive with a non-null ``plan``.
-        link_seed: seed for the legacy link model's randomness.
+        plan: the fault plan -- the only source of link randomness; None
+            or a null plan selects the exact fast path of the
+            pre-transport code (byte-identical charges).
         mangler: optional receiver-side decoder for corrupted frames
             accepted without a CRC (protocols with a real codec pass
             one; without it such frames are discarded as unparseable).
         tiling: optional :class:`~repro.network.tiling.TilePartition`;
             with a fault engine on the batched path, each level batch's
-            draws resolve per sender-tile (memory bounded by the
-            largest tile's frames) and merge at a deterministic barrier
-            -- bit-identical to the untiled batch at any tile layout.
-        tile_jobs: worker processes for per-tile resolution (1 =
-            resolve tiles inline; >1 ships tile jobs to a process pool
-            and applies results in sorted-tile order, same bytes).
+            draws are made one sender tile at a time (the draw kernel's
+            memory bounded by the largest tile's frames) --
+            bit-identical to the untiled transport, which is the
+            one-tile case, at any tile layout.
     """
 
     def __init__(
@@ -343,32 +382,24 @@ class EpochTransport:
         costs: CostAccountant,
         config: Optional[TransportConfig] = None,
         plan: Optional[FaultPlan] = None,
-        link_model: Optional[LossyLinkModel] = None,
-        link_seed: int = 0,
         mangler: Optional[Mangler] = None,
         tiling: Optional[TilePartition] = None,
-        tile_jobs: int = 1,
     ):
         self.network = network
         self.costs = costs
         self.config = config if config is not None else TransportConfig.hardened()
         self.mangler = mangler
-        self.link_model = link_model
-        self.tiling = tiling
-        self.tile_jobs = max(1, int(tile_jobs))
-        self._tile_pool = None
-        self._legacy_rng = random.Random(link_seed)
         if plan is not None and not plan.is_null:
-            if link_model is not None:
-                raise ValueError(
-                    "pass the link loss inside the FaultPlan (e.g. "
-                    "BernoulliLink), not as a separate legacy link_model"
-                )
             self.engine: Optional[FaultEngine] = FaultEngine(plan, network)
             # Fix every frame's draw budget up front: counter-based
             # streams address (frame, attempt) slots, so the budget must
             # be known before the first draw and stay constant.
             self.engine.attempts_per_frame = self._max_attempts()
+            self._tile_of = (
+                tiling.tile_id
+                if tiling is not None
+                else np.zeros(network.n_nodes, dtype=np.int64)
+            )
         else:
             self.engine = None
         self._report = DegradationReport()
@@ -576,20 +607,7 @@ class EpochTransport:
         they are bucketed here, so the caller only handles arrivals.
         """
         if self.engine is None:
-            if self.link_model is not None:
-                ok = charge_lossy_hop(
-                    self.link_model,
-                    sender,
-                    receiver,
-                    nbytes,
-                    self.costs,
-                    self._legacy_rng,
-                )
-                if not ok:
-                    self._terminal(rids, _LOST)
-                    return SendOutcome(False, [])
-            else:
-                self.costs.charge_hop(sender, receiver, nbytes)
+            self.costs.charge_hop(sender, receiver, nbytes)
             return SendOutcome(True, [(payload, False)])
 
         cfg = self.config
@@ -659,13 +677,13 @@ class EpochTransport:
         is also what lets the transport choose *how* to run the epoch:
 
         - the scalar reference path replays :meth:`walk` + :meth:`send`
-          frame by frame (always used for the legacy ``link_model``,
-          whose shared Mersenne stream is order-dependent);
+          frame by frame;
         - with a fault engine and ``config.batched``, each tree level's
-          frames are resolved as arrays (one batch of counter-based
-          draws, one scatter-add per charge kind) -- bit-identical to
-          the scalar path because every random draw has an
-          order-independent address and every charge is an integer sum.
+          frames are resolved as arrays (counter-based draws made one
+          sender tile at a time, one scatter-add per charge kind) --
+          bit-identical to the scalar path because every random draw
+          has an order-independent address and every charge is an
+          integer sum.
 
         ``ops_per_frame`` is charged at the sender for every frame
         handed over with a live parent (the store-and-forward bookkeeping
@@ -679,7 +697,7 @@ class EpochTransport:
     def _run_scalar(
         self, frames_for: FramesFor, on_arrival: OnArrival, ops_per_frame: int
     ) -> None:
-        """The per-frame reference loop (also the legacy-link path)."""
+        """The per-frame reference loop (also the zero-fault path)."""
         for hop in self.walk():
             if hop.parent is None:
                 for fr in frames_for(hop.node):
@@ -816,10 +834,10 @@ class EpochTransport:
                 fr for (_, _, frames) in batch for fr in frames
             ]
             total = len(flat_frames)
-            senders = np.repeat(
-                np.fromiter((u for (u, _, _) in batch), np.int64, count=len(batch)),
-                counts,
+            edge_senders = np.fromiter(
+                (u for (u, _, _) in batch), np.int64, count=len(batch)
             )
+            senders = np.repeat(edge_senders, counts)
             receivers = np.repeat(
                 np.fromiter((p for (_, p, _) in batch), np.int64, count=len(batch)),
                 counts,
@@ -831,11 +849,8 @@ class EpochTransport:
                 (len(fr.rids) for fr in flat_frames), np.int64, count=total
             )
 
-            if self.tiling is None:
-                air_ok, corr, dup = engine.frame_draws_batch(edges, counts)
-                res = reduce_attempt_draws(air_ok, corr, cfg.crc, max_attempts)
-            else:
-                res, dup = self._resolve_batch_tiled(batch, edges, counts, total)
+            air_ok, corr, dup = self._draw_by_tile(edges, edge_senders, counts)
+            res = reduce_attempt_draws(air_ok, corr, cfg.crc, max_attempts)
             delivered = res.delivered
             attempts_used = res.attempts_used
 
@@ -904,126 +919,47 @@ class EpochTransport:
                 if propagate_dup and dup_flags[j]:
                     on_arrival(senders_list[j], receivers_list[j], fr, payload, True)
 
-    def _resolve_batch_tiled(
+    def _draw_by_tile(
         self,
-        batch: List[Tuple[int, int, Sequence[OutFrame]]],
         edges: List[Tuple[int, int]],
+        edge_senders: np.ndarray,
         counts: np.ndarray,
-        total: int,
-    ) -> Tuple[AttemptResolution, np.ndarray]:
-        """Per-tile draw resolution feeding the deterministic merge barrier.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One level batch's fault draws, made one sender tile at a time.
 
-        Frames group by the *sender's* tile: each directed edge is owned
-        exclusively by its sender, so per-edge frame cursors and
-        burst-chain checkpoints partition cleanly across tiles, and every
-        draw keeps its ``(edge, frame, attempt)`` address -- the scattered
-        outcome vectors are bit-identical to the single global batch at
-        any tile layout.  Only per-frame outcome arrays come back here;
-        everything order-sensitive (the Mersenne damage stream, receiver
-        dispatch, charges) happens afterwards at the merge barrier in
-        global flat order, which is why tiles may resolve inline, out of
-        order, or in worker processes without changing a byte.
+        A stable sort groups the batch's edges by their sender's tile;
+        each contiguous run is drawn with one
+        :meth:`FaultEngine.frame_draws_batch` call and the outcomes are
+        scattered back to the batch's frame order once.  Each directed
+        edge is owned by its sender, so per-edge cursors never span two
+        runs and every draw keeps its ``(edge, frame, attempt)``
+        address: the result is bit-identical to one global draw at any
+        tile layout (untiled is the one-tile case).
         """
         engine = self.engine
-        assert engine is not None
-        cfg = self.config
-        max_attempts = self._max_attempts()
-        tile_of = self.tiling.tile_id
-        offsets = np.zeros(len(batch) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        groups: Dict[int, List[int]] = {}
-        for i, (u, _p, _frames) in enumerate(batch):
-            groups.setdefault(int(tile_of[u]), []).append(i)
-        order = sorted(groups)
-
-        delivered = np.zeros(total, dtype=bool)
-        attempts_used = np.zeros(total, dtype=np.int64)
-        corr_res = np.zeros(total, dtype=bool)
-        corr_fail = np.zeros(total, dtype=bool)
-        dup = np.zeros(total, dtype=bool)
-        detected = 0
-
-        def slots_for(idxs: List[int]) -> np.ndarray:
-            return np.concatenate(
-                [np.arange(offsets[i], offsets[i + 1]) for i in idxs]
-            )
-
-        with profiling.stage("transport.tile.resolve"):
-            if self.tile_jobs > 1 and len(order) > 1:
-                pool = self._ensure_tile_pool()
-                jobs = []
-                for t in order:
-                    idxs = groups[t]
-                    t_edges = [edges[i] for i in idxs]
-                    # _edge() only lazily creates cursors; reading them
-                    # here is side-effect-free on outcomes.
-                    streams = [engine._edge(u, v) for (u, v) in t_edges]
-                    payload = (
-                        engine.plan,
-                        engine.attempts_per_frame,
-                        cfg.crc,
-                        tuple(t_edges),
-                        tuple(int(counts[i]) for i in idxs),
-                        tuple(es.frame for es in streams),
-                        tuple(es.ge_t for es in streams),
-                        tuple(es.ge_state for es in streams),
-                        profiling.is_enabled(),
-                    )
-                    jobs.append(
-                        (idxs, streams, pool.submit(resolve_tile_job, payload))
-                    )
-                # Apply in sorted-tile order: cursor write-back and the
-                # profiling merge are the only shared state, and both are
-                # per-edge / commutative, so this order is purely for
-                # reproducible bookkeeping.
-                for idxs, streams, fut in jobs:
-                    (d, au, cr, cf, det, dp, cursors, snap) = fut.result()
-                    for es, (f, gt, gs) in zip(streams, cursors):
-                        es.frame = int(f)
-                        es.ge_t = int(gt)
-                        es.ge_state = bool(gs)
-                    sl = slots_for(idxs)
-                    delivered[sl] = d
-                    attempts_used[sl] = au
-                    corr_res[sl] = cr
-                    corr_fail[sl] = cf
-                    dup[sl] = dp
-                    detected += det
-                    if snap:
-                        profiling.merge_snapshot(snap)
-            else:
-                for t in order:
-                    idxs = groups[t]
-                    t_edges = [edges[i] for i in idxs]
-                    with profiling.stage("transport.tile.draws"):
-                        air_ok, corr, dp = engine.frame_draws_batch(
-                            t_edges, counts[idxs]
-                        )
-                        r = reduce_attempt_draws(
-                            air_ok, corr, cfg.crc, max_attempts
-                        )
-                    sl = slots_for(idxs)
-                    delivered[sl] = r.delivered
-                    attempts_used[sl] = r.attempts_used
-                    corr_res[sl] = r.corr_res
-                    corr_fail[sl] = r.corr_fail
-                    dup[sl] = dp
-                    detected += r.corrupted_detected
-        res = AttemptResolution(
-            delivered=delivered,
-            attempts_used=attempts_used,
-            corr_res=corr_res,
-            corr_fail=corr_fail,
-            corrupted_detected=detected,
+        tiles = self._tile_of[edge_senders]
+        order = np.argsort(tiles, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(tiles[order])) + 1)
+        if len(runs) == 1:  # one tile: the batch is already in frame order
+            return engine.frame_draws_batch(edges, counts)
+        drawn = [
+            engine.frame_draws_batch([edges[i] for i in run.tolist()], counts[run])
+            for run in runs
+        ]
+        # Batch frame slot of every drawn frame: its edge's first slot
+        # in the batch, shifted from that edge's first drawn position.
+        sorted_counts = counts[order]
+        shift = (np.cumsum(counts) - counts)[order] - (
+            np.cumsum(sorted_counts) - sorted_counts
         )
-        return res, dup
-
-    def _ensure_tile_pool(self):
-        if self._tile_pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._tile_pool = ProcessPoolExecutor(max_workers=self.tile_jobs)
-        return self._tile_pool
+        slots = np.repeat(shift, sorted_counts) + np.arange(int(counts.sum()))
+        out = []
+        for part in zip(*drawn):
+            sorted_draws = np.concatenate(part)
+            scattered = np.empty_like(sorted_draws)
+            scattered[slots] = sorted_draws
+            out.append(scattered)
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # Epoch close-out
@@ -1031,9 +967,6 @@ class EpochTransport:
 
     def finalize(self) -> DegradationReport:
         """Fire remaining events, sweep leftovers, return the report."""
-        if self._tile_pool is not None:
-            self._tile_pool.shutdown()
-            self._tile_pool = None
         if self.engine is not None:
             self.engine.finish_epoch()
             self._report.crashed_nodes = len(self.engine.crashed_nodes)

@@ -40,19 +40,30 @@ def compute_epoch(config_dict: Dict[str, Any], epoch: int) -> Dict[str, Any]:
     """
     if epoch < 1:
         raise ValueError("epoch must be >= 1")
+    # Bind the table once: a compute still running after ``reset()`` (an
+    # inline call that blew its deadline keeps going in its thread) then
+    # stores its session in the discarded table, never in the fresh one
+    # a retry reads.
+    table = _SESSIONS
     config = SessionConfig.from_dict(config_dict)
-    session = _SESSIONS.get(config.query_id)
+    session = table.get(config.query_id)
     if session is None or session.config != config or epoch < session.next_epoch:
         session = SessionCompute(config)
-        _SESSIONS[config.query_id] = session
+        table[config.query_id] = session
     while session.next_epoch < epoch:
         session.epoch(session.next_epoch)
     return session.epoch(epoch)
 
 
 def reset() -> None:
-    """Drop all per-process session state (test isolation hook)."""
-    _SESSIONS.clear()
+    """Drop all per-process session state.
+
+    Swaps in a fresh table rather than clearing the old one, so a
+    compute that started before the reset cannot hand its session to a
+    later call (see :func:`compute_epoch`).
+    """
+    global _SESSIONS
+    _SESSIONS = {}
 
 
 def ping() -> int:

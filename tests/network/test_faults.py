@@ -15,9 +15,7 @@ from repro.network.faults import (
     FaultEvent,
     FaultPlan,
     GilbertElliottLink,
-    bernoulli_from_lossy,
 )
-from repro.network.links import LossyLinkModel
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -66,10 +64,6 @@ class TestLinkModels:
         with pytest.raises(ValueError):
             BernoulliLink(1.2)
         assert BernoulliLink(0.8).average_delivery() == pytest.approx(0.8)
-
-    def test_bernoulli_from_lossy(self):
-        link = bernoulli_from_lossy(LossyLinkModel(delivery_probability=0.75))
-        assert link.delivery_probability == pytest.approx(0.75)
 
     def test_ge_validation(self):
         with pytest.raises(ValueError):

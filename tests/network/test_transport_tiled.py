@@ -2,11 +2,11 @@
 
 Fault draws are keyed by ``(edge, frame, attempt)`` and each directed
 edge is owned by exactly one sender tile, so resolving a level's frames
-per tile and merging at the deterministic barrier must be *bit-identical*
-to the single global batch: byte-identical per-node tx/rx/ops accounting
-and an identical :class:`DegradationReport` at **any** tile size, any
-tile-worker count, and every defense-toggle combination.  The n=2500
-pins below are the acceptance gate for the million-node scaling path --
+per tile and scattering the outcomes back must be *bit-identical* to the
+single global batch: byte-identical per-node tx/rx/ops accounting and an
+identical :class:`DegradationReport` at **any** tile size and every
+defense-toggle combination.  The n=2500 pins below are the acceptance
+gate for the million-node scaling path --
 whatever tiling does for memory, it must not move a single byte.
 """
 
@@ -58,7 +58,7 @@ def _evidence(run):
     )
 
 
-def _run(plan, config=None, n=400, seed=3, tile_size=None, tile_jobs=1):
+def _run(plan, config=None, n=400, seed=3, tile_size=None):
     cfg = config if config is not None else TransportConfig.hardened()
     return IsoMapProtocol(
         QUERY,
@@ -66,7 +66,6 @@ def _run(plan, config=None, n=400, seed=3, tile_size=None, tile_jobs=1):
         fault_plan=plan,
         transport_config=cfg,
         tile_size=tile_size,
-        tile_jobs=tile_jobs,
     ).run(radial_net(n=n, seed=seed))
 
 
@@ -131,15 +130,6 @@ class TestTiledMatchesGlobal:
         tiled = _evidence(_run(plan, seed=seed, tile_size=tile_size))
         assert tiled == base
 
-    def test_worker_pool_matches_inline(self):
-        # tile_jobs=2 ships detached draw jobs (cursor-restored rng
-        # streams) to a process pool; results and stream write-back must
-        # match the inline per-tile path byte for byte.
-        plan = FaultPlan.at_intensity(0.5, seed=7)
-        inline = _evidence(_run(plan, tile_size=5.0, tile_jobs=1))
-        pooled = _evidence(_run(plan, tile_size=5.0, tile_jobs=2))
-        assert pooled == inline
-
 
 class TestTransportLevelTiling:
     def test_forward_reports_with_explicit_partition(self):
@@ -150,9 +140,7 @@ class TestTransportLevelTiling:
         def run(tiling):
             net = radial_net(seed=6)
             costs = CostAccountant(net.n_nodes)
-            transport = EpochTransport(
-                net, costs, plan=plan, tiling=tiling, tile_jobs=1
-            )
+            transport = EpochTransport(net, costs, plan=plan, tiling=tiling)
             sources = [
                 node.node_id
                 for node in net.nodes
@@ -174,6 +162,15 @@ class TestTransportLevelTiling:
         net = radial_net(seed=6)
         part = TilePartition.build(net.positions_array, net.bounds, 4.0)
         assert run(part) == run(None)
+
+    def test_tile_jobs_other_than_one_rejected(self):
+        # Tiles resolve in-process; the protocol keeps ``tile_jobs`` only
+        # so callers that pass 1 keep working.
+        with pytest.raises(ValueError):
+            IsoMapProtocol(QUERY, tile_size=5.0, tile_jobs=2)
+        with pytest.raises(ValueError):
+            IsoMapProtocol(QUERY, tile_jobs=0)
+        assert IsoMapProtocol(QUERY, tile_size=5.0, tile_jobs=1).tile_size == 5.0
 
     def test_zero_fault_ignores_tiling(self):
         # Null plan -> no engine -> tiling must be inert (the analytic

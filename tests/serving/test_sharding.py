@@ -6,6 +6,7 @@ the shard layout is an operational knob, never a semantic one.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -81,6 +82,55 @@ def test_worker_detects_config_change():
     # Same query id, new config: the worker rebuilt rather than reusing
     # the stale session (different seed ==> different deployment).
     assert a["delta"] != b["delta"]
+    worker.reset()
+
+
+def test_compute_started_before_reset_keeps_its_session_to_itself(monkeypatch):
+    """An inline compute that blew its deadline keeps running in its
+    thread.  Here it is held inside session construction while the
+    shard resets and a retry computes the same epoch; once released,
+    it must not put its session where the next call finds it, or two
+    threads end up stepping one ``SessionCompute``."""
+    built = []
+    entered = threading.Event()
+    release = threading.Event()
+
+    class GatedSessionCompute(SessionCompute):
+        def __init__(self, config):
+            if not built:
+                built.append(None)  # reserve slot 0 for the stale compute
+                entered.set()
+                assert release.wait(30)
+                super().__init__(config)
+                built[0] = self
+            else:
+                super().__init__(config)
+                built.append(self)
+
+    monkeypatch.setattr(worker, "SessionCompute", GatedSessionCompute)
+    config = SessionConfig(query_id="race", n_nodes=200)
+    worker.reset()
+    stale = threading.Thread(
+        target=worker.compute_epoch, args=(config.to_dict(), 1)
+    )
+    stale.start()
+    try:
+        assert entered.wait(30)
+        worker.reset()  # the supervisor's recovery after the deadline
+        retry = worker.compute_epoch(config.to_dict(), 1)
+    finally:
+        release.set()
+        stale.join(60)
+    assert not stale.is_alive()
+    fresh = built[1]
+    assert worker._SESSIONS["race"] is fresh
+    # The next epoch continues the retry's session, not the stale one.
+    nxt = worker.compute_epoch(config.to_dict(), 2)
+    assert worker._SESSIONS["race"] is fresh
+    assert fresh.next_epoch == 3 and built[0].next_epoch == 2
+    expected = SessionCompute(config)
+    assert retry["delta"] == expected.epoch(1)["delta"]
+    assert nxt["delta"] == expected.epoch(2)["delta"]
     worker.reset()
 
 
