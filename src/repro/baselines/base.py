@@ -187,18 +187,37 @@ def forward_reports_to_sink(
             continue
         pending.append((s, rid))
 
-    if transport.engine is None and transport.config.batched and pending:
-        # Perfect links and no faults: every report travels its full
-        # path, so the per-hop charges collapse to subtree counts --
-        # no per-frame Python at all (what makes n=40k feasible).
-        # ``batched=False`` keeps the per-frame loop reachable for the
-        # differential tests.
-        _forward_zero_fault_analytic(
-            network, pending, report_bytes, costs, ops_per_forward,
-            transport, delivered,
-        )
-        return [s for s in sources if s in delivered]
+    # Perfect links and no faults: every report travels its full path,
+    # so the per-hop charges collapse to subtree counts -- no per-frame
+    # Python at all (what makes n=40k feasible).  A faulted epoch goes
+    # frame by frame through the transport.
+    forward = (
+        _forward_zero_fault_analytic
+        if transport.engine is None
+        else _forward_per_frame
+    )
+    forward(
+        network, pending, report_bytes, costs, ops_per_forward, transport,
+        delivered,
+    )
+    return [s for s in sources if s in delivered]
 
+
+def _forward_per_frame(
+    network: SensorNetwork,
+    pending: Sequence[tuple],
+    report_bytes: int,
+    costs: CostAccountant,
+    ops_per_forward: int,
+    transport: EpochTransport,
+    delivered: set,
+) -> None:
+    """Forward each pending report frame by frame over the transport.
+
+    The faulted path, and the reference the closed-form
+    :func:`_forward_zero_fault_analytic` is pinned against.
+    """
+    tree = network.tree
     outbox: dict = {}
     for s, rid in pending:
         outbox.setdefault(s, []).append((s, rid))
@@ -220,7 +239,6 @@ def forward_reports_to_sink(
     transport.run_collection(
         frames_for, on_arrival, ops_per_frame=ops_per_forward
     )
-    return [s for s in sources if s in delivered]
 
 
 def _forward_zero_fault_analytic(

@@ -13,10 +13,10 @@ report cache at the sink:
   by more than ``angle_delta_deg``;
 - a node that stops being an isoline node sends a small *retraction*
   (its position only), and the sink evicts the cached report;
-- the sink updates the contour map from the cache each epoch -- by
-  default *incrementally*, splicing the delta into a retained per-level
-  map (:class:`repro.core.contour_map.SinkReconstructor`, bit-identical
-  to a from-scratch rebuild) rather than paying the full Voronoi +
+- the sink updates the contour map from the cache each epoch
+  *incrementally*, splicing the delta into a retained per-level map
+  (:class:`repro.core.contour_map.SinkReconstructor`, bit-identical to
+  a from-scratch rebuild) rather than paying the full Voronoi +
   boundary cost for the mostly-unchanged remainder.
 
 In steady state traffic collapses to the churn rate; after a local event
@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import profiling
-from repro.core.contour_map import ContourMap, SinkReconstructor, build_contour_map
+from repro.core.contour_map import ContourMap, SinkReconstructor
 from repro.core.detection import detect_isoline_nodes
 from repro.core.prediction import PredictionConfig, PredictorBank
 from repro.core.protocol import IsoMapProtocol
@@ -124,13 +124,6 @@ class ContinuousIsoMap:
             a node re-reports; the value trade-off mirrors the filter's
             ``s_a``.
         regulate: apply boundary regulation when rebuilding maps.
-        incremental: when True (default) the sink applies each epoch's
-            delta to a retained per-level map via
-            :class:`~repro.core.contour_map.SinkReconstructor` instead of
-            rebuilding from scratch; the resulting maps are bit-identical
-            either way (the reconstructor's contract).
-        full_rebuild_threshold: dirty-cell fraction above which the
-            incremental sink falls back to a full per-level rebuild.
         prediction: enable model-predictive suppression with this
             :class:`~repro.core.prediction.PredictionConfig`.  ``None``
             (the default) runs the original epoch-delta protocol
@@ -142,9 +135,6 @@ class ContinuousIsoMap:
         query: ContourQuery,
         angle_delta_deg: float = 10.0,
         regulate: bool = True,
-        incremental: bool = True,
-        full_rebuild_threshold: float = 0.35,
-        simplify_tolerance: float = 0.0,
         prediction: Optional[PredictionConfig] = None,
     ):
         if angle_delta_deg < 0:
@@ -152,11 +142,6 @@ class ContinuousIsoMap:
         self.query = query
         self.angle_delta_rad = math.radians(angle_delta_deg)
         self.regulate = regulate
-        self.incremental = incremental
-        self.full_rebuild_threshold = full_rebuild_threshold
-        #: Forwarded to every epoch's ContourMap: > 0 makes its
-        #: ``isolines()`` return tolerance-bounded simplifications.
-        self.simplify_tolerance = simplify_tolerance
         self.prediction = prediction
         self._protocol = IsoMapProtocol(query, regulate=regulate)
         self._node_state: Dict[int, IsolineReport] = {}
@@ -185,8 +170,7 @@ class ContinuousIsoMap:
 
     @property
     def reconstructor(self) -> Optional[SinkReconstructor]:
-        """The incremental sink state (None before the first epoch, or
-        when running with ``incremental=False``)."""
+        """The incremental sink state (None before the first epoch)."""
         return self._reconstructor
 
     def epoch(self, network: SensorNetwork) -> EpochResult:
@@ -271,27 +255,13 @@ class ContinuousIsoMap:
 
         sink_node = network.nodes[network.sink_index]
         sink_value = sink_node.value if sink_node.can_sense else None
-        if self.incremental:
-            if self._reconstructor is None:
-                self._reconstructor = SinkReconstructor(
-                    self.query.isolevels,
-                    network.bounds,
-                    regulate=self.regulate,
-                    full_rebuild_threshold=self.full_rebuild_threshold,
-                    simplify_tolerance=self.simplify_tolerance,
-                )
-            contour_map = self._reconstructor.reconstruct(
-                list(self._sink_cache.values()), sink_value=sink_value
+        if self._reconstructor is None:
+            self._reconstructor = SinkReconstructor(
+                self.query.isolevels, network.bounds, regulate=self.regulate
             )
-        else:
-            contour_map = build_contour_map(
-                list(self._sink_cache.values()),
-                self.query.isolevels,
-                network.bounds,
-                sink_value=sink_value,
-                regulate=self.regulate,
-                simplify_tolerance=self.simplify_tolerance,
-            )
+        contour_map = self._reconstructor.reconstruct(
+            list(self._sink_cache.values()), sink_value=sink_value
+        )
         return EpochResult(
             contour_map=contour_map,
             costs=costs,

@@ -97,10 +97,10 @@ class TransportConfig:
         reparent: nodes whose parent crashed locally re-attach to an
             alive neighbour at level <= their own (repair traffic is
             charged) instead of stranding their buffered reports.
-        batched: resolve each tree level's frames as arrays in
-            :meth:`EpochTransport.run_collection` (bit-identical to the
-            scalar walk by construction; turn off to run the retained
-            per-frame reference path).
+
+    The fault plan, not a field here, picks how an epoch runs:
+    :meth:`EpochTransport.run_collection` resolves faulted epochs level
+    by level and walks fault-free ones frame by frame.
     """
 
     arq: bool = True
@@ -110,7 +110,6 @@ class TransportConfig:
     crc: bool = True
     dedup: bool = True
     reparent: bool = True
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -369,9 +368,9 @@ class EpochTransport:
             accepted without a CRC (protocols with a real codec pass
             one; without it such frames are discarded as unparseable).
         tiling: optional :class:`~repro.network.tiling.TilePartition`;
-            with a fault engine on the batched path, each level batch's
-            draws are made one sender tile at a time (the draw kernel's
-            memory bounded by the largest tile's frames) --
+            with a fault engine, each level batch's draws are made
+            one sender tile at a time (the draw kernel's memory
+            bounded by the largest tile's frames) --
             bit-identical to the untiled transport, which is the
             one-tile case, at any tile layout.
     """
@@ -481,7 +480,7 @@ class EpochTransport:
         allows.
 
         This is the scalar reference order; :meth:`run_collection`'s
-        batched mode takes the same hops level-wise (see
+        batched driver takes the same hops level-wise (see
         :meth:`walk_reference`, the differential-test anchor).
         """
         tree = self.network.tree
@@ -676,28 +675,31 @@ class EpochTransport:
         and the protocol supplies ``frames_for`` / ``on_arrival``.  That
         is also what lets the transport choose *how* to run the epoch:
 
-        - the scalar reference path replays :meth:`walk` + :meth:`send`
-          frame by frame;
-        - with a fault engine and ``config.batched``, each tree level's
-          frames are resolved as arrays (counter-based draws made one
-          sender tile at a time, one scatter-add per charge kind) --
-          bit-identical to the scalar path because every random draw
-          has an order-independent address and every charge is an
-          integer sum.
+        - without a fault engine, :meth:`_run_scalar` replays
+          :meth:`walk` + :meth:`send` frame by frame (nothing is drawn,
+          so there is nothing to batch);
+        - with a fault engine, :meth:`_run_batched` resolves each tree
+          level's frames as arrays (counter-based draws made one sender
+          tile at a time, one scatter-add per charge kind) --
+          bit-identical to the per-frame walk, the retained reference,
+          because every random draw has an order-independent address
+          and every charge is an integer sum.
 
         ``ops_per_frame`` is charged at the sender for every frame
         handed over with a live parent (the store-and-forward bookkeeping
         some protocols charge per transmitted frame).
         """
-        if self.engine is not None and self.config.batched:
-            self._run_batched(frames_for, on_arrival, ops_per_frame)
-        else:
+        if self.engine is None:
             self._run_scalar(frames_for, on_arrival, ops_per_frame)
+        else:
+            self._run_batched(frames_for, on_arrival, ops_per_frame)
 
     def _run_scalar(
         self, frames_for: FramesFor, on_arrival: OnArrival, ops_per_frame: int
     ) -> None:
-        """The per-frame reference loop (also the zero-fault path)."""
+        """The per-frame loop: the zero-fault path, and the reference
+        :meth:`_run_batched` is pinned against in the differential
+        tests."""
         for hop in self.walk():
             if hop.parent is None:
                 for fr in frames_for(hop.node):

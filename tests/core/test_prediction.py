@@ -8,9 +8,9 @@ Three layers:
 2. **Bank behaviour** -- LMS convergence on constant drift, the
    heartbeat staleness bound, coverage-lease ghost retraction, ghost
    eviction, adoption re-keying, and the velocity clamp.
-3. **Mode equivalence** -- a ``batched=True`` bank and a
-   ``batched=False`` bank fed the same epoch stream make identical
-   decisions and hold identical state.
+3. **Bank equivalence** -- a bank on the batch kernels and a bank with
+   the three batch kernels patched to their scalar references, fed the
+   same epoch stream, make identical decisions and hold identical state.
 """
 
 import math
@@ -360,46 +360,57 @@ def _epoch_stream(rng, epochs=10, n_sources=30):
     return stream
 
 
-def test_batched_and_reference_banks_agree():
-    stream = _epoch_stream(None)
-    banks = {
-        mode: PredictorBank(
-            PredictionConfig(position_tolerance=1.0, batched=mode)
-        )
-        for mode in (True, False)
-    }
-    members = {True: {}, False: {}}
+def _as_batch(reference):
+    """Adapt a scalar ``*_reference`` kernel to its ``*_batch`` twin's
+    calling convention (arrays in, arrays out)."""
+
+    def kernel(*args):
+        lists = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
+        return tuple(np.asarray(r) for r in reference(*lists))
+
+    return kernel
+
+
+def _reference_kernels(monkeypatch):
+    import repro.core.prediction as prediction
+
+    for name in ("advance_tracks", "track_accept", "join_accept"):
+        reference = getattr(prediction, f"{name}_reference")
+        monkeypatch.setattr(prediction, f"{name}_batch", _as_batch(reference))
+
+
+def _run_bank(stream):
+    """Per epoch: the bank's decisions and its full track state."""
+    bank = PredictorBank(PredictionConfig(position_tolerance=1.0))
+    members = {}
+    trace = []
     for current in stream:
-        outs = {}
-        for mode, bank in banks.items():
-            bank.advance()
-            to_send, predicted, hb = bank.decide(current)
-            leaving = [
-                (s, pos)
-                for s, pos in members[mode].items()
-                if s not in current
-            ]
-            retractions = bank.decide_retractions(leaving, current)
-            members[mode] = {s: r.position for s, r in current.items()}
-            bank.apply(to_send, retractions)
-            outs[mode] = (
+        bank.advance()
+        to_send, predicted, hb = bank.decide(current)
+        leaving = [(s, pos) for s, pos in members.items() if s not in current]
+        retractions = bank.decide_retractions(leaving, current)
+        members = {s: r.position for s, r in current.items()}
+        bank.apply(to_send, retractions)
+        tracks = {
+            k: (t.x, t.y, t.theta, t.vx, t.vy, t.omega, t.age)
+            for k, t in bank.tracks.items()
+        }
+        trace.append(
+            (
                 [r.source for r in to_send],
                 predicted,
                 hb,
                 sorted(retractions),
+                tracks,
             )
-        assert outs[True] == outs[False]
-        tb, tr = banks[True].tracks, banks[False].tracks
-        assert sorted(tb) == sorted(tr)
-        for k in tb:
-            assert (tb[k].x, tb[k].y, tb[k].theta) == (
-                tr[k].x,
-                tr[k].y,
-                tr[k].theta,
-            )
-            assert (tb[k].vx, tb[k].vy, tb[k].omega) == (
-                tr[k].vx,
-                tr[k].vy,
-                tr[k].omega,
-            )
-            assert tb[k].age == tr[k].age
+        )
+    return trace
+
+
+def test_batched_and_reference_banks_agree(monkeypatch):
+    stream = _epoch_stream(None)
+    fast = _run_bank(stream)
+    _reference_kernels(monkeypatch)
+    ref = _run_bank(stream)
+    for epoch, (f, r) in enumerate(zip(fast, ref)):
+        assert f == r, f"epoch {epoch}"

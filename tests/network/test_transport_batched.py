@@ -1,12 +1,16 @@
 """Differential tests: slot-batched transport vs the retained scalar walk.
 
-The batched driver (``TransportConfig.batched=True``, the default) must be
-*bit-identical* to the per-frame scalar reference (``batched=False``, which
-loops ``walk_reference`` + ``send``) under the same seed: byte-identical
-per-node tx/rx/ops accounting and an identical :class:`DegradationReport`,
-for every protocol, every defense-toggle combination and several fault
-intensities.  These tests pin that contract; they are what licenses every
-other test in the suite to run on the fast path.
+The batched driver (``EpochTransport._run_batched``, which every faulted
+epoch takes) must be *bit-identical* to the per-frame scalar reference
+(``_run_scalar``, which loops ``walk_reference`` + ``send``) under the
+same seed: byte-identical per-node tx/rx/ops accounting and an identical
+:class:`DegradationReport`, for every protocol, every defense-toggle
+combination and several fault intensities.  The reference run patches
+the per-frame paths in with ``monkeypatch`` (:func:`_run_reference`):
+the scalar walk for the level resolver and, for the baselines'
+zero-fault forwarding, the per-frame loop for the closed form.  These
+tests pin that contract; they are what licenses every other test in the
+suite to run on the fast path.
 """
 
 import dataclasses
@@ -22,6 +26,7 @@ from repro.baselines import (
     INLRProtocol,
     TinyDBProtocol,
 )
+from repro.baselines import base
 from repro.baselines.base import forward_reports_to_sink
 from repro.baselines.isoline_agg import IsolineAggregationProtocol
 from repro.core import ContourQuery, FilterConfig, IsoMapProtocol
@@ -113,9 +118,18 @@ def _run_protocol(name, plan, config, seed=1):
     return proto.run(net)
 
 
-def _differential(name, plan, config):
-    fast = _run_protocol(name, plan, dataclasses.replace(config, batched=True))
-    ref = _run_protocol(name, plan, dataclasses.replace(config, batched=False))
+def _run_reference(monkeypatch, name, plan, config):
+    """:func:`_run_protocol` with every fast path swapped for its
+    per-frame reference."""
+    with monkeypatch.context() as m:
+        m.setattr(EpochTransport, "_run_batched", EpochTransport._run_scalar)
+        m.setattr(base, "_forward_zero_fault_analytic", base._forward_per_frame)
+        return _run_protocol(name, plan, config)
+
+
+def _differential(monkeypatch, name, plan, config):
+    fast = _run_protocol(name, plan, config)
+    ref = _run_reference(monkeypatch, name, plan, config)
     assert _evidence(fast) == _evidence(ref), f"{name} diverged from the scalar walk"
     if fast.degradation is not None:
         assert fast.degradation.is_conserved
@@ -123,47 +137,43 @@ def _differential(name, plan, config):
 
 class TestBatchedMatchesScalar:
     @pytest.mark.parametrize("name", PROTOCOLS)
-    def test_every_protocol_moderate_faults(self, name):
-        _differential(name, FaultPlan.moderate(seed=5), TransportConfig.hardened())
+    def test_every_protocol_moderate_faults(self, monkeypatch, name):
+        _differential(monkeypatch, name, FaultPlan.moderate(seed=5), TransportConfig.hardened())
 
     @pytest.mark.parametrize("name", PROTOCOLS)
-    def test_every_protocol_heavy_faults_vanilla(self, name):
-        _differential(name, FaultPlan.at_intensity(0.8, seed=9), TransportConfig.vanilla())
+    def test_every_protocol_heavy_faults_vanilla(self, monkeypatch, name):
+        _differential(monkeypatch, name, FaultPlan.at_intensity(0.8, seed=9), TransportConfig.vanilla())
 
     @pytest.mark.parametrize("cfg", sorted(CONFIGS))
-    def test_every_config_toggle(self, cfg):
-        _differential("tinydb", FaultPlan.moderate(seed=7), CONFIGS[cfg])
-        _differential("iso-map", FaultPlan.at_intensity(0.5, seed=11), CONFIGS[cfg])
+    def test_every_config_toggle(self, monkeypatch, cfg):
+        _differential(monkeypatch, "tinydb", FaultPlan.moderate(seed=7), CONFIGS[cfg])
+        _differential(
+            monkeypatch, "iso-map", FaultPlan.at_intensity(0.5, seed=11), CONFIGS[cfg]
+        )
 
     @pytest.mark.parametrize(
         "link", [BernoulliLink(0.7), GilbertElliottLink(0.3, 0.25, 1.0, 0.3)]
     )
-    def test_link_models_alone(self, link):
+    def test_link_models_alone(self, monkeypatch, link):
         plan = FaultPlan(seed=13, link=link)
-        _differential("tinydb", plan, TransportConfig.hardened())
+        _differential(monkeypatch, "tinydb", plan, TransportConfig.hardened())
 
-    def test_zero_fault_batched_identical(self):
-        # No engine at all: the batched flag must not change a single byte
+    def test_zero_fault_batched_identical(self, monkeypatch):
+        # No engine at all: the fast paths must not change a single byte
         # (this is what keeps the golden snapshots valid on the fast path).
-        _differential("iso-map", None, TransportConfig.hardened())
-        _differential("tinydb", None, TransportConfig.hardened())
+        _differential(monkeypatch, "iso-map", None, TransportConfig.hardened())
+        _differential(monkeypatch, "tinydb", None, TransportConfig.hardened())
 
 
 class TestZeroFaultAnalytic:
-    def test_analytic_forwarding_matches_per_frame_walk(self):
+    def test_analytic_forwarding_matches_per_frame_walk(self, monkeypatch):
         # forward_reports_to_sink collapses the zero-fault epoch to
-        # closed-form subtree counts when batched; the per-frame walk
-        # (batched=False) must charge the identical integers.
-        def run(batched):
+        # closed-form subtree counts; the per-frame loop, patched in
+        # for the reference run, must charge the identical integers.
+        def run():
             net = radial_grid_net(seed=2)
             costs = CostAccountant(net.n_nodes)
-            transport = EpochTransport(
-                net,
-                costs,
-                config=dataclasses.replace(
-                    TransportConfig.hardened(), batched=batched
-                ),
-            )
+            transport = EpochTransport(net, costs)
             sources = [
                 node.node_id
                 for node in net.nodes
@@ -182,18 +192,24 @@ class TestZeroFaultAnalytic:
                 dataclasses.asdict(deg),
             )
 
-        assert run(True) == run(False)
+        fast = run()
+        with monkeypatch.context() as m:
+            m.setattr(
+                base, "_forward_zero_fault_analytic", base._forward_per_frame
+            )
+            ref = run()
+        assert fast == ref
 
 
 class TestRepairTraffic:
-    def test_reparenting_charges_identically_and_is_exercised(self):
+    def test_reparenting_charges_identically_and_is_exercised(self, monkeypatch):
         # Crash-heavy plan with recovery: orphans must be adopted, the
         # probe/reply/join traffic charged, and the batched adoption
         # (including same-level adopters) byte-identical to the scalar's.
         plan = FaultPlan(seed=17, crash_ratio=0.25, recover_ratio=0.3)
         config = TransportConfig.hardened()
-        fast = _run_protocol("tinydb", plan, dataclasses.replace(config, batched=True))
-        ref = _run_protocol("tinydb", plan, dataclasses.replace(config, batched=False))
+        fast = _run_protocol("tinydb", plan, config)
+        ref = _run_reference(monkeypatch, "tinydb", plan, config)
         assert _evidence(fast) == _evidence(ref)
         assert fast.degradation.repaired_orphans > 0
         # Repair traffic is real charged traffic: the crash-only epoch
@@ -201,7 +217,7 @@ class TestRepairTraffic:
         # surviving topology (probes, replies and joins are not free).
         off = _run_protocol(
             "tinydb", plan,
-            dataclasses.replace(config, reparent=False, batched=True),
+            dataclasses.replace(config, reparent=False),
         )
         assert fast.costs.tx_bytes.sum() > off.costs.tx_bytes.sum()
 

@@ -10,6 +10,9 @@ loosened, tightened or dropped fails here:
   sitting exactly on every bound;
 - a measurement just past any one bound gives exactly one problem line;
 - a missing report or a missing section fails.
+
+The scaling gate's full section records its own RSS ceiling, so its
+full-mode check gets the same on/past-the-bound cases.
 """
 
 import copy
@@ -228,6 +231,64 @@ def test_missing_full_acceptance_section_fails(gate, section):
     assert problems(gate, measured, committed) == [
         f"committed report has no full {section} section"
     ]
+
+
+# ----------------------------------------------------------------------
+# The scaling gate's full section: it records its own RSS ceiling
+# ----------------------------------------------------------------------
+
+
+FULL_SCALING_POINTS = [p["n"] for p in committed_report("scaling")["points"]]
+
+
+def full_scaling_measurement(committed):
+    """What a full run that reproduced the committed points measures."""
+    return {
+        key: copy.deepcopy(committed[key])
+        for key in ("rss_ceiling_mb", "fitted_report_exponent", "points")
+    }
+
+
+def full_scaling_problems(measured, committed):
+    return record.gate_problems(committed, measured, False, gate_check("scaling"))
+
+
+def test_committed_full_scaling_section_passes():
+    committed = committed_report("scaling")
+    measured = full_scaling_measurement(committed)
+    assert full_scaling_problems(measured, committed) == []
+
+
+@pytest.mark.parametrize("index", range(len(FULL_SCALING_POINTS)),
+                         ids=[f"n{n}" for n in FULL_SCALING_POINTS])
+def test_full_scaling_rss_on_the_ceiling_passes(index):
+    committed = committed_report("scaling")
+    measured = full_scaling_measurement(committed)
+    measured["points"][index]["peak_rss_mb"] = committed["rss_ceiling_mb"]
+    assert full_scaling_problems(measured, committed) == []
+
+
+@pytest.mark.parametrize("index", range(len(FULL_SCALING_POINTS)),
+                         ids=[f"n{n}" for n in FULL_SCALING_POINTS])
+def test_full_scaling_rss_past_the_ceiling_fails_once(index):
+    committed = committed_report("scaling")
+    measured = full_scaling_measurement(committed)
+    measured["points"][index]["peak_rss_mb"] = committed["rss_ceiling_mb"] + 0.1
+    assert len(full_scaling_problems(measured, committed)) == 1
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_scaling_section_without_a_ceiling_fails(quick):
+    committed = committed_report("scaling")
+    if quick:
+        measured = quick_measurement("scaling", committed)
+        del committed["quick"]["rss_ceiling_mb"]
+    else:
+        measured = full_scaling_measurement(committed)
+        del committed["rss_ceiling_mb"]
+    assert record.gate_problems(
+        committed, measured, quick, gate_check("scaling")
+    ) == ["committed section has no rss_ceiling_mb"]
 
 
 # ----------------------------------------------------------------------
