@@ -53,6 +53,7 @@ from repro.serving.errors import (
     ServingError,
     SessionFailedError,
     ShardComputeError,
+    ShardComputeStale,
     ShardCrashError,
     ShardHangError,
     ShardResultCorrupted,
@@ -133,6 +134,7 @@ __all__ = [
     "SessionFailedError",
     "SessionStats",
     "ShardComputeError",
+    "ShardComputeStale",
     "ShardCrashError",
     "ShardHangError",
     "ShardHealth",

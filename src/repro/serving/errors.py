@@ -90,6 +90,17 @@ class ShardResultCorrupted(ShardComputeError):
     """The returned payload failed its integrity check (CRC mismatch)."""
 
 
+class ShardComputeStale(ShardComputeError):
+    """The shard was reset under a running fast-forward, which stopped
+    at its next epoch boundary.
+
+    Inline (``n_shards = 0``) every session shares one session table, so
+    one request's hang or crash recovery resets it under the others'
+    computes.  The reset was already counted as that request's failure;
+    a retry rebuilds in the fresh table and lands on the same bytes.
+    """
+
+
 class ShardUnavailableError(ServingError):
     """The shard's circuit breaker is open: fail fast, do not compute.
 

@@ -58,6 +58,7 @@ from repro.serving.chaos import CORRUPT, DROP, HANG, KILL, ChaosEngine, ChaosPla
 from repro.serving.errors import (
     EpochComputeFailed,
     ShardComputeError,
+    ShardComputeStale,
     ShardCrashError,
     ShardHangError,
     ShardResultCorrupted,
@@ -424,6 +425,8 @@ class SupervisedShardPool:
             except ShardComputeError as exc:
                 last = exc
                 self._first_failure.setdefault((qid, epoch), time.perf_counter())
+                if isinstance(exc, ShardComputeStale):
+                    continue  # the reset that staled it was already counted
                 sup.breaker.on_failure()
                 if sup.breaker.is_open:
                     break  # fail the call; the breaker gates the next ones
